@@ -16,7 +16,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,7 +68,6 @@ class RunConfig:
     device_ra: float | None = None
     sweep: SweepSpec | None = None
     n_max: int | None = None
-    jobs: int = 1
     t_end_ra: float = 120.0
     samples: int = 481
     n_kicks: int = 400
@@ -79,8 +77,6 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
 
@@ -232,8 +228,11 @@ def _device_from_section(section: configparser.SectionProxy) -> DeviceParams:
 def _sweep_from_section(section: configparser.SectionProxy) -> SweepSpec:
     n_min = _get_float(section, "n_th_min")
     n_max_val = _get_float(section, "n_th_max")
-    count = int(_get_float(section, "n_th_count"))
-    if count < 1 or n_min <= 0 or n_max_val < n_min:
+    count_val = _get_float(section, "n_th_count")
+    if not count_val.is_integer():
+        raise ConfigError(f"n_th_count must be a whole number, got {count_val!r}")
+    count = int(count_val)
+    if count < 1 or not 0 < n_min <= n_max_val < math.inf:
         raise ConfigError("sweep grid must be non-empty with 0 < n_th_min <= n_th_max")
     if count == 1:
         grid: tuple[float, ...] = (n_min,)
@@ -243,6 +242,10 @@ def _sweep_from_section(section: configparser.SectionProxy) -> SweepSpec:
     p_list = _float_list(section, "p_excited") or (0.0,)
     if not ra_list:
         raise ConfigError("sweep needs at least one ra_over_kappa value")
+    if not all(0.0 <= ra < math.inf for ra in ra_list):
+        raise ConfigError("ra_over_kappa values must be finite and non-negative")
+    if not all(0.0 <= p <= 1.0 for p in p_list):
+        raise ConfigError("p_excited values must lie in [0, 1]")
     return SweepSpec(
         n_th_grid=grid,
         ra_over_kappa=ra_list,
@@ -435,18 +438,7 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
         for ra in sweep_spec.ra_over_kappa
         for p in sweep_spec.p_values
     ]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda pt: _sweep_point(params, env, sweep_spec, *pt, config.n_max),
-                    points,
-                )
-            )
-    else:
-        rows = [
-            _sweep_point(params, env, sweep_spec, *pt, config.n_max) for pt in points
-        ]
+    rows = [_sweep_point(params, env, sweep_spec, *pt, config.n_max) for pt in points]
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     meta = {
         "g_rad_per_s": params.g,
@@ -553,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output file path")
         p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--n-max", type=int, default=None, help="truncation override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
         p.add_argument(
             "--with-fidelity",
             action="store_true",
@@ -593,7 +584,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         device_ra=pieces.get("device_ra"),
         sweep=sweep,
         n_max=args.n_max,
-        jobs=args.jobs,
         t_end_ra=getattr(args, "t_end_ra", 120.0),
         samples=getattr(args, "samples", 481),
         n_kicks=getattr(args, "kicks", 400),

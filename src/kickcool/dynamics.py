@@ -13,12 +13,12 @@ product formula, a direct null-space solve, and long-time integration.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_banded, svd
-from scipy.sparse import bmat, csc_matrix
+from scipy.sparse import bmat, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -43,28 +43,67 @@ NULL_SPACE = "null-space"
 LONG_TIME = "long-time"
 
 
+def _diagonal(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Generator diagonal: the negative total rate out of each level."""
+    outflow = np.zeros(up.size + 1)
+    outflow[:-1] += up
+    outflow[1:] += down
+    return -outflow
+
+
+def _dense(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The (n+1)x(n+1) generator with rates up below and down above the diagonal."""
+    dense = np.diag(_diagonal(up, down))
+    idx = np.arange(up.size)
+    dense[idx + 1, idx] = up
+    dense[idx, idx + 1] = down
+    return dense
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Tridiagonal generator of the coarse-grained population dynamics."""
+    """Tridiagonal generator of the coarse-grained population dynamics.
 
-    matrix: np.ndarray
+    Stored as its two rate bands: up[l-1] is the rate l-1 -> l (the
+    sub-diagonal), down[l-1] the rate l -> l-1 (the super-diagonal).  The
+    diagonal is derived as the negative column outflow, so columns sum to
+    zero.  ``apply`` multiplies in O(n_max); ``to_dense`` builds the full
+    (n_max+1)^2 array for dense solvers.
+    """
+
+    up: np.ndarray
+    down: np.ndarray
     params: ProtocolParams
     kick: KickMap
+    diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        up = np.array(self.up, dtype=float)
+        down = np.array(self.down, dtype=float)
+        if up.ndim != 1 or up.shape != down.shape:
+            raise ValueError("up and down rates must be 1-d vectors of equal length")
+        if not (np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
+            raise ValueError("rates must be finite")
+        if np.any(up < 0) or np.any(down < 0):
+            raise ValueError("rates must be non-negative")
+        diag = _diagonal(up, down)
+        for name, arr in (("up", up), ("down", down), ("diag", diag)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_max(self) -> int:
-        return self.matrix.shape[0] - 1
+        return self.up.size
 
-    def rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """(up, down) transition rates; up[l-1] is l-1 -> l, down[l-1] is l -> l-1."""
-        sub = np.diag(self.matrix, -1).copy()
-        sup = np.diag(self.matrix, 1).copy()
-        return sub, sup
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """G @ x for a population vector x."""
+        out = self.diag * x
+        out[:-1] += self.down * x[1:]
+        out[1:] += self.up * x[:-1]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        return _dense(self.up, self.down)
 
 
 @dataclass(frozen=True)
@@ -72,7 +111,8 @@ class EvolutionTrace:
     """Sampled observables of a population evolution.
 
     times are in seconds and strictly increasing; mean_n and p0 are the
-    mean phonon number and ground-level population at those times.
+    mean phonon number and ground-level population at those times, and
+    snapshots, when kept, hold the distribution at each of them.
     """
 
     times: np.ndarray
@@ -90,6 +130,14 @@ class EvolutionTrace:
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.times.ndim != 1 or not (
+            self.times.shape == self.mean_n.shape == self.p0.shape
+        ):
+            raise ValueError("times, mean_n and p0 must be 1-d of equal length")
+        if self.snapshots is not None and len(self.snapshots) != self.times.size:
+            raise ValueError(
+                f"{len(self.snapshots)} snapshots for {self.times.size} times"
+            )
         if np.any(self.p0 < -1e-12) or np.any(self.p0 > 1.0 + 1e-9):
             raise ValueError("p0 outside [0, 1]")
 
@@ -103,19 +151,6 @@ class SteadyStateResult:
     delta_n: float
     p0_s: float
     method: str
-
-
-def _transition_rates(
-    params: ProtocolParams, kick: KickMap, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    levels = np.arange(1, n_max + 1, dtype=float)
-    ce2 = kick.ce2[:n_max]
-    up = params.kappa * params.n_th * levels + params.r_a * params.p_e * ce2
-    down = (
-        params.kappa * (params.n_th + 1.0) * levels
-        + params.r_a * (1.0 - params.p_e) * ce2
-    )
-    return up, down
 
 
 def build_generator(
@@ -133,17 +168,14 @@ def build_generator(
         raise ValueError(
             f"kick sized for n_max={kick.n_max}, generator requested for {n_max}"
         )
-    up, down = _transition_rates(params, kick, n_max)
-    size = n_max + 1
-    gen = np.zeros((size, size))
-    idx = np.arange(n_max)
-    gen[idx + 1, idx] = up
-    gen[idx, idx + 1] = down
-    outflow = np.zeros(size)
-    outflow[:-1] += up
-    outflow[1:] += down
-    gen[np.arange(size), np.arange(size)] = -outflow
-    return GeneratorMatrix(matrix=gen, params=params, kick=kick)
+    levels = np.arange(1, n_max + 1, dtype=float)
+    ce2 = kick.ce2[:n_max]
+    up = params.kappa * params.n_th * levels + params.r_a * params.p_e * ce2
+    down = (
+        params.kappa * (params.n_th + 1.0) * levels
+        + params.r_a * (1.0 - params.p_e) * ce2
+    )
+    return GeneratorMatrix(up=up, down=down, params=params, kick=kick)
 
 
 def _validated_sample(
@@ -199,19 +231,18 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
 
-    g = gen.matrix
     if method is None:
-        explicit_steps = t_end * np.abs(np.diag(g)).max()
+        explicit_steps = t_end * np.abs(gen.diag).max()
         method = "DOP853" if explicit_steps < 2e4 and gen.n_max <= 400 else "BDF"
     kwargs = {}
     if method == "BDF":
-        kwargs["jac"] = csc_matrix(g)
+        kwargs["jac"] = diags([gen.up, gen.diag, gen.down], [-1, 0, 1], format="csc")
     elif times.size > 1:
         # keep steps at the sampling resolution: the high-order interpolant
         # over long late-time steps is otherwise the dominant error source
         kwargs["max_step"] = float(np.diff(times).min())
     sol = solve_ivp(
-        lambda _t, y: g @ y,
+        lambda _t, y: gen.apply(y),
         (0.0, float(t_end)),
         initial.populations,
         t_eval=times,
@@ -248,19 +279,10 @@ def evolve(
 
 def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> np.ndarray:
     """exp(L*dt) of the damping-only generator (column-stochastic matrix)."""
-    size = n_max + 1
-    levels = np.arange(1, size, dtype=float)
+    levels = np.arange(1, n_max + 1, dtype=float)
     up = params.kappa * params.n_th * levels
     down = params.kappa * (params.n_th + 1.0) * levels
-    gen = np.zeros((size, size))
-    idx = np.arange(n_max)
-    gen[idx + 1, idx] = up
-    gen[idx, idx + 1] = down
-    outflow = np.zeros(size)
-    outflow[:-1] += up
-    outflow[1:] += down
-    gen[np.arange(size), np.arange(size)] = -outflow
-    return expm(gen * dt)
+    return expm(_dense(up, down) * dt)
 
 
 def evolve_stroboscopic(
@@ -302,6 +324,8 @@ def evolve_stroboscopic(
         times.append(t_kick)
         mean_n.append(float(n @ state))
         p0.append(float(state[0]))
+        if snapshots is not None:
+            snapshots.append(_validated_sample(state.copy(), initial.tail_tol))
         state = _kick_vector(state, kick)
         times.append(t_kick + offset)
         mean_n.append(float(n @ state))
@@ -420,12 +444,12 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
     relative tolerance 1e-8; large systems use a sparse bordered solve of
     [G, 1; 1^T, 0] whose residual is verified.
     """
-    up, down = gen.rates()
-    g = gen.matrix
-    scale = np.abs(g).max()
+    # every off-diagonal rate is a summand of its column's diagonal, so the
+    # largest diagonal magnitude is the largest entry of the generator
+    scale = np.abs(gen.diag).max()
     if scale == 0.0:
         raise DegenerateKernelError("generator is identically zero")
-    cuts = _connected_blocks(up, down, scale)
+    cuts = _connected_blocks(gen.up, gen.down, scale)
     top = cuts[0] if cuts else gen.n_max
     if cuts:
         warnings.warn(
@@ -434,7 +458,7 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
             UserWarning,
             stacklevel=2,
         )
-    block = g[: top + 1, : top + 1]
+    block = gen.to_dense()[: top + 1, : top + 1]
     size = block.shape[0]
 
     if size <= 600:
@@ -494,8 +518,8 @@ def steady_state_longtime(
         initial = thermal_distribution(gen.params.n_th, gen.n_max)
     if initial.n_max != gen.n_max:
         raise ValueError("initial distribution does not match the generator size")
-    up, down = gen.rates()
-    scale = np.abs(gen.matrix).max()
+    up, down = gen.up, gen.down
+    scale = np.abs(gen.diag).max()
     if scale == 0.0:
         raise DegenerateKernelError("generator is identically zero")
     if gen.params.kappa > 0:
@@ -510,16 +534,8 @@ def steady_state_longtime(
     # banded storage of (I - dt*G) for solve_banded
     ab = np.zeros((3, size))
     ab[0, 1:] = -dt * down
-    ab[1, :] = 1.0 - dt * np.diag(gen.matrix)
+    ab[1, :] = 1.0 - dt * gen.diag
     ab[2, :-1] = -dt * up
-
-    diag = np.diag(gen.matrix)
-
-    def rate_of_change(x: np.ndarray) -> np.ndarray:
-        out = diag * x
-        out[:-1] += down * x[1:]
-        out[1:] += up * x[:-1]
-        return out
 
     state = initial.populations.copy()
     best = state
@@ -529,7 +545,7 @@ def steady_state_longtime(
         state = solve_banded((1, 1), ab, state)
         state = np.maximum(state, 0.0)
         state /= state.sum()
-        res = np.abs(rate_of_change(state)).max() / gap
+        res = np.abs(gen.apply(state)).max() / gap
         if res < best_res:
             best, best_res, stall = state, res, 0
         else:

@@ -123,24 +123,28 @@ class TestSweepMode:
         # strong-cooling regime: mean ~ n_th / (r_a/kappa)
         assert float(first[3]) == pytest.approx(0.1 / 100.0, rel=0.15)
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG)
-        out1, out4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
-        assert main(["sweep", "--config", str(cfg), "--output", str(out1)]) == 0
-        assert (
-            main(
-                ["sweep", "--config", str(cfg), "--output", str(out4), "--jobs", "4"]
-            )
-            == 0
-        )
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_empty_grid_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(SWEEP_CONFIG.replace("n_th_count = 3", "n_th_count = 0"))
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("p_excited = 0", "p_excited = 0, 1.5"),
+            ("n_th_count = 3", "n_th_count = 2.7"),
+            ("ra_over_kappa = 100, 1000", "ra_over_kappa = 100, -1"),
+            ("n_th_max = 10", "n_th_max = nan"),
+        ],
+    )
+    def test_bad_sweep_values_are_config_errors(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace(old, new))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeviceMode:

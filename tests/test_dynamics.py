@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kickcool import (
+    EvolutionTrace,
+    GeneratorMatrix,
     NonNormalizableError,
     ProtocolParams,
     build_generator,
@@ -46,12 +50,14 @@ def demo_setup(n_max=60):
 class TestGenerator:
     def test_columns_sum_to_zero(self):
         _, _, gen = demo_setup()
-        scale = np.abs(gen.matrix).max()
-        assert np.abs(gen.matrix.sum(axis=0)).max() < 1e-12 * scale
+        dense = gen.to_dense()
+        scale = np.abs(dense).max()
+        assert np.abs(dense.sum(axis=0)).max() < 1e-12 * scale
 
     def test_offdiagonal_rates_nonnegative(self):
         _, _, gen = demo_setup()
-        off = gen.matrix - np.diag(np.diag(gen.matrix))
+        dense = gen.to_dense()
+        off = dense - np.diag(np.diag(dense))
         assert off.min() >= 0.0
 
     def test_matches_kick_plus_damping_assembly(self):
@@ -68,8 +74,9 @@ class TestGenerator:
             (up, [0.0])
         ) - np.concatenate(([0.0], down))
         direct = params.r_a * (kick_matrix(kick) - np.eye(size)) + damping
-        scale = np.abs(gen.matrix).max()
-        np.testing.assert_allclose(gen.matrix, direct, atol=1e-12 * scale)
+        dense = gen.to_dense()
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(dense, direct, atol=1e-12 * scale)
 
     def test_pure_decay_relaxes_to_vacuum(self):
         params = ProtocolParams(
@@ -94,6 +101,55 @@ class TestGenerator:
         params, kick, _ = demo_setup(20)
         with pytest.raises(ValueError):
             build_generator(params, kick, 30)
+
+    def test_apply_matches_dense_product(self):
+        _, _, gen = demo_setup()
+        x = np.random.default_rng(5).random(gen.n_max + 1)
+        dense = gen.to_dense()
+        scale = np.abs(dense).max() * np.abs(x).max()
+        np.testing.assert_allclose(gen.apply(x), dense @ x, rtol=0, atol=1e-14 * scale)
+
+    def test_bands_are_read_only(self):
+        _, _, gen = demo_setup()
+        with pytest.raises(ValueError):
+            gen.up[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "up, down",
+        [
+            (np.ones(4), np.ones(5)),
+            (np.ones((2, 2)), np.ones((2, 2))),
+            (np.array([1.0, -1e-3, 1.0]), np.ones(3)),
+            (np.ones(3), np.array([1.0, np.nan, 1.0])),
+            (np.ones(3), np.array([1.0, np.inf, 1.0])),
+        ],
+    )
+    def test_malformed_bands_rejected(self, up, down):
+        params, kick, _ = demo_setup(3)
+        with pytest.raises(ValueError):
+            GeneratorMatrix(up=up, down=down, params=params, kick=kick)
+
+    def test_banded_routes_stay_small_at_n_th_100(self):
+        # the dense generator alone would be 8*(n_max+1)^2 = 136 MB here
+        params = make_params(100.0, 100.0, np.pi / 2.0)
+        n_max = default_n_max(params.n_th)
+        assert n_max == 4118
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        t_end = 2.0 / params.r_a
+        tracemalloc.start()
+        try:
+            gen = build_generator(params, kick, n_max)
+            steady_state_longtime(gen)
+            evolve(
+                thermal_distribution(params.n_th, n_max),
+                gen,
+                t_end,
+                sample_times=np.linspace(0.0, t_end, 3),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestEvolve:
@@ -152,6 +208,19 @@ class TestEvolve:
         assert len(trace.snapshots) == 6
         assert trace.snapshots[0].populations.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"times": [0.0, 1.0], "mean_n": [1.0], "p0": [0.5, 0.5]},
+            {"times": [0.0, 1.0], "mean_n": [1.0, 1.0], "p0": [0.5, 0.5, 0.5]},
+            {"times": [0.0, 1.0], "mean_n": [1.0, 1.0], "p0": [0.5, 0.5],
+             "snapshots": [number_state(0, 10)]},
+        ],
+    )
+    def test_trace_rejects_mismatched_lengths(self, fields):
+        with pytest.raises(ValueError):
+            EvolutionTrace(**fields)
+
 
 class TestStroboscopic:
     def test_single_swap_then_inert(self):
@@ -162,6 +231,16 @@ class TestStroboscopic:
         trace = evolve_stroboscopic(number_state(1, 10), params, kick, 4)
         post = trace.mean_n[2::2]
         np.testing.assert_allclose(post, 0.0, atol=1e-12)
+
+    def test_snapshots_follow_every_sample(self):
+        params, kick, _ = demo_setup()
+        initial = thermal_distribution(1.7, 60)
+        trace = evolve_stroboscopic(initial, params, kick, 5, keep_snapshots=True)
+        assert trace.times.size == 11
+        assert len(trace.snapshots) == 11
+        n = np.arange(61)
+        means = [n @ snap.populations for snap in trace.snapshots]
+        np.testing.assert_allclose(means, trace.mean_n, rtol=1e-12)
 
     def test_zero_kicks_returns_initial(self):
         params, kick, _ = demo_setup()
