@@ -79,6 +79,12 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.samples < 2:
             raise ConfigError("samples must be at least 2")
+        if self.n_max is not None and self.n_max < 1:
+            raise ConfigError("n_max must be at least 1")
+        if not 0.0 < self.t_end_ra < math.inf:
+            raise ConfigError("t_end_ra must be positive and finite")
+        if self.n_kicks < 0:
+            raise ConfigError("kicks must be non-negative")
 
 
 # --- built-in presets --------------------------------------------------------
@@ -345,7 +351,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params, _ = _resolve_protocol(config)
     if params.r_a <= 0:
         raise ConfigError("evolve mode needs r_a > 0 to fix the time unit")
-    n_max = config.n_max or default_n_max(params.n_th)
+    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     gen = build_generator(params, kick, n_max)
     initial = thermal_distribution(params.n_th, n_max)
@@ -363,7 +369,7 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params, _ = _resolve_protocol(config)
     if params.r_a <= 0:
         raise ConfigError("strobe mode needs r_a > 0")
-    n_max = config.n_max or default_n_max(params.n_th)
+    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     initial = thermal_distribution(params.n_th, n_max)
     trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
@@ -378,7 +384,7 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params, _ = _resolve_protocol(config)
-    n_max = config.n_max or default_n_max(params.n_th)
+    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     analytic = steady_state_analytic(params, kick, n_max)
     numeric = steady_state_numeric(build_generator(params, kick, n_max))
@@ -409,7 +415,7 @@ def _sweep_point(
     p_e: float,
     n_max_override: int | None,
 ) -> tuple:
-    n_max = n_max_override or default_n_max(n_th)
+    n_max = default_n_max(n_th) if n_max_override is None else n_max_override
     point = replace(
         params, n_th=n_th, r_a=ra_over_kappa * params.kappa, p_e=p_e
     )
@@ -544,12 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(PRESETS), help="built-in parameter set")
         p.add_argument("--output", help="output file path")
         p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--n-max", type=int, default=None, help="truncation override")
-        p.add_argument(
-            "--with-fidelity",
-            action="store_true",
-            help="apply the kick-decay fidelity correction in sweeps",
-        )
+        if mode != "device":
+            p.add_argument("--n-max", type=int, default=None, help="truncation override")
+        if mode == "sweep":
+            p.add_argument(
+                "--with-fidelity",
+                action="store_true",
+                help="apply the kick-decay fidelity correction",
+            )
         if mode == "evolve":
             p.add_argument("--t-end-ra", type=float, default=120.0)
             p.add_argument("--samples", type=int, default=481)
@@ -571,7 +579,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     fmt = args.format or pieces.get("fmt") or "csv"
     output = args.output or pieces.get("output") or f"kickcool_{args.mode}.{fmt}"
     sweep = pieces.get("sweep")
-    if sweep is not None and args.with_fidelity:
+    if sweep is not None and getattr(args, "with_fidelity", False):
         sweep = replace(sweep, with_fidelity=True)
     config = RunConfig(
         mode=args.mode,
@@ -583,7 +591,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         device_tau=pieces.get("device_tau"),
         device_ra=pieces.get("device_ra"),
         sweep=sweep,
-        n_max=args.n_max,
+        n_max=getattr(args, "n_max", None),
         t_end_ra=getattr(args, "t_end_ra", 120.0),
         samples=getattr(args, "samples", 481),
         n_kicks=getattr(args, "kicks", 400),

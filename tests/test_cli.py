@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kickcool.cli import PRESETS, main
+from kickcool.cli import PRESETS, ConfigError, build_parser, config_from_args, main
 
 CONFIG_TEMPLATE = """
 [protocol]
@@ -199,6 +199,35 @@ class TestErrorPaths:
         )
         out = tmp_path / "x.csv"
         assert main(["steady", "--config", str(cfg), "--output", str(out)]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strobe", "--kicks", "-1"],
+            ["evolve", "--t-end-ra", "-5"],
+            ["evolve", "--t-end-ra", "0"],
+            ["evolve", "--t-end-ra", "nan"],
+            ["evolve", "--t-end-ra", "inf"],
+            ["steady", "--n-max", "0"],
+            ["steady", "--n-max", "-3"],
+        ],
+    )
+    def test_bad_run_lengths_are_config_errors(self, argv):
+        args = build_parser().parse_args(argv + ["--preset", "fig2"])
+        with pytest.raises(ConfigError):
+            config_from_args(args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--preset", "fig2", "--with-fidelity"],
+            ["device", "--preset", "device-paper", "--n-max", "5"],
+        ],
+    )
+    def test_flags_a_mode_ignores_are_rejected(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path):
         assert (

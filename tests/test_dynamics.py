@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kickcool import (
     EvolutionTrace,
@@ -220,6 +221,34 @@ class TestEvolve:
     def test_trace_rejects_mismatched_lengths(self, fields):
         with pytest.raises(ValueError):
             EvolutionTrace(**fields)
+
+    @pytest.mark.parametrize(
+        "n_th, ra_over_kappa, theta",
+        [(1.7, 133.0, np.pi / 8.0), (10.0, 147.0, 1.0)],
+        ids=["fig2-n_max-60", "n_max-315"],
+    )
+    def test_matches_stepped_expm(self, n_th, ra_over_kappa, theta):
+        # reference: one exp(G dt) applied sample to sample, which agrees with
+        # exp(G t) at every sample time to a few 1e-13
+        params = make_params(n_th, ra_over_kappa, theta)
+        n_max = default_n_max(n_th)
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        gen = build_generator(params, kick, n_max)
+        initial = thermal_distribution(n_th, n_max)
+        t_end = 120.0 / params.r_a
+        times = np.linspace(0.0, t_end, 481)
+        trace = evolve(initial, gen, t_end, sample_times=times)
+
+        step = expm(gen.to_dense() * (times[1] - times[0]))
+        levels = np.arange(n_max + 1, dtype=float)
+        state = initial.populations.copy()
+        ref_mean, ref_p0 = [levels @ state], [state[0]]
+        for _ in times[1:]:
+            state = step @ state
+            ref_mean.append(levels @ state)
+            ref_p0.append(state[0])
+        assert np.abs(trace.mean_n - ref_mean).max() < 1e-8
+        assert np.abs(trace.p0 - ref_p0).max() < 1e-8
 
 
 class TestStroboscopic:
