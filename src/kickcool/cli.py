@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar
 
+from .constants import E_CHARGE, HBAR
 from .corrections import QubitEnvironment, corrected_steady_state
 from .device import DeviceParams, derive_protocol, duty_cycle_schedule
 from .dynamics import (
@@ -50,22 +50,36 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Sweep grid: every n_th with every r_a/kappa and every excitation p."""
+
     n_th_grid: tuple[float, ...]
     ra_over_kappa: tuple[float, ...]
     p_values: tuple[float, ...]
     with_fidelity: bool = False
 
+    def __post_init__(self) -> None:
+        if not (self.n_th_grid and self.ra_over_kappa and self.p_values):
+            raise ConfigError("sweep needs at least one n_th, ra_over_kappa and p value")
+        if not all(ra >= 0.0 for ra in self.ra_over_kappa):
+            raise ConfigError("ra_over_kappa values must be non-negative")
+        if not all(0.0 <= p <= 1.0 for p in self.p_values):
+            raise ConfigError("p_excited values must lie in [0, 1]")
+
 
 @dataclass
 class RunConfig:
+    """One resolved run: a [device] section has already become protocol and env.
+
+    The checks here are the ones a mode needs before it starts; n_max None
+    means the default truncation for each n_th.
+    """
+
     mode: str
     output: str
+    protocol: ProtocolParams
     fmt: str = "csv"
-    protocol: ProtocolParams | None = None
     env: QubitEnvironment | None = None
     device: DeviceParams | None = None
-    device_tau: float | None = None
-    device_ra: float | None = None
     sweep: SweepSpec | None = None
     n_max: int | None = None
     t_end_ra: float = 120.0
@@ -85,6 +99,17 @@ class RunConfig:
             raise ConfigError("t_end_ra must be positive and finite")
         if self.n_kicks < 0:
             raise ConfigError("kicks must be non-negative")
+        if self.mode in ("evolve", "strobe", "device") and self.protocol.r_a <= 0:
+            raise ConfigError(f"{self.mode} mode needs r_a > 0 to fix the kick period")
+        if self.mode in ("steady", "sweep") and self.protocol.kappa <= 0:
+            raise ConfigError(f"{self.mode} mode needs kappa > 0 for the product formula")
+        if self.mode == "device" and self.device is None:
+            raise ConfigError("device mode needs a [device] section or preset")
+        if self.mode == "sweep":
+            if self.sweep is None:
+                raise ConfigError("sweep mode needs a [sweep] section or preset")
+            if self.sweep.with_fidelity and self.env is None:
+                raise ConfigError("with_fidelity sweeps need a qubit environment")
 
 
 # --- built-in presets --------------------------------------------------------
@@ -92,7 +117,7 @@ class RunConfig:
 _G_STRONG = 2.0 * math.pi * 1e7          # coupling, rad/s
 _KAPPA_HIGH_Q = math.pi * 1e3            # decay of a 2*pi*100 MHz mode at Q = 2e5
 _OMEGA0 = 2.0 * math.pi * 1e8
-_EJ_PARKED = 4.0 * math.pi * 1e10 * hbar  # parked splitting, J
+_EJ_PARKED = 4.0 * math.pi * 1e10 * HBAR  # parked splitting, J
 
 
 def _preset_fig2() -> dict:
@@ -159,11 +184,14 @@ PRESETS = {
 
 def _get_float(section: configparser.SectionProxy, key: str) -> float:
     try:
-        return float(section[key])
+        value = float(section[key])
     except KeyError:
         raise ConfigError(f"missing key {key!r} in [{section.name}]") from None
     except ValueError:
         raise ConfigError(f"key {key!r} in [{section.name}] is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} in [{section.name}] is not finite")
+    return value
 
 
 def _get_float_opt(
@@ -178,9 +206,12 @@ def _float_list(section: configparser.SectionProxy, key: str) -> tuple[float, ..
     raw = section.get(key, "")
     items = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        return tuple(float(item) for item in items)
+        values = tuple(float(item) for item in items)
     except ValueError:
         raise ConfigError(f"key {key!r} in [{section.name}] is not a number list") from None
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"key {key!r} in [{section.name}] has a non-finite entry")
+    return values
 
 
 def _protocol_from_section(section: configparser.SectionProxy) -> ProtocolParams:
@@ -204,9 +235,8 @@ def _protocol_from_section(section: configparser.SectionProxy) -> ProtocolParams
 
 
 def _device_from_section(section: configparser.SectionProxy) -> DeviceParams:
-    uev = 1e-6 * 1.602176634e-19
+    uev = 1e-6 * E_CHARGE
     e_c = _get_float_opt(section, "e_c_uev")
-    v_g = _get_float_opt(section, "v_g_v")
     mass = _get_float_opt(section, "mass_kg")
     distance_nm = _get_float_opt(section, "distance_nm")
     g_override = _get_float_opt(section, "g_mhz")
@@ -222,7 +252,6 @@ def _device_from_section(section: configparser.SectionProxy) -> DeviceParams:
             omega0=_get_float(section, "omega0_mhz") * MHZ,
             q_factor=_get_float(section, "q_factor"),
             e_c=e_c * uev if e_c is not None else None,
-            v_g=v_g,
             mass=mass,
             distance=distance_nm * 1e-9 if distance_nm is not None else None,
             g_override=g_override * MHZ if g_override is not None else None,
@@ -238,24 +267,16 @@ def _sweep_from_section(section: configparser.SectionProxy) -> SweepSpec:
     if not count_val.is_integer():
         raise ConfigError(f"n_th_count must be a whole number, got {count_val!r}")
     count = int(count_val)
-    if count < 1 or not 0 < n_min <= n_max_val < math.inf:
+    if count < 1 or not 0 < n_min <= n_max_val:
         raise ConfigError("sweep grid must be non-empty with 0 < n_th_min <= n_th_max")
     if count == 1:
         grid: tuple[float, ...] = (n_min,)
     else:
         grid = tuple(np.logspace(math.log10(n_min), math.log10(n_max_val), count))
-    ra_list = _float_list(section, "ra_over_kappa")
-    p_list = _float_list(section, "p_excited") or (0.0,)
-    if not ra_list:
-        raise ConfigError("sweep needs at least one ra_over_kappa value")
-    if not all(0.0 <= ra < math.inf for ra in ra_list):
-        raise ConfigError("ra_over_kappa values must be finite and non-negative")
-    if not all(0.0 <= p <= 1.0 for p in p_list):
-        raise ConfigError("p_excited values must lie in [0, 1]")
     return SweepSpec(
         n_th_grid=grid,
-        ra_over_kappa=ra_list,
-        p_values=p_list,
+        ra_over_kappa=_float_list(section, "ra_over_kappa"),
+        p_values=_float_list(section, "p_excited") or (0.0,),
         with_fidelity=section.getboolean("with_fidelity", fallback=False),
     )
 
@@ -286,19 +307,6 @@ def load_config_file(path: str) -> dict:
     if "protocol" not in pieces and "device" not in pieces:
         raise ConfigError("configuration needs a [protocol] or [device] section")
     return pieces
-
-
-def _resolve_protocol(config: RunConfig) -> tuple[ProtocolParams, QubitEnvironment | None]:
-    if config.protocol is not None:
-        return config.protocol, config.env
-    if config.device is not None:
-        if config.device_tau is None or config.device_ra is None:
-            raise ConfigError("device-based runs need tau_ns and ra_mhz")
-        params, env = derive_protocol(
-            config.device, tau=config.device_tau, r_a=config.device_ra
-        )
-        return params, env
-    raise ConfigError("no protocol or device parameters supplied")
 
 
 # --- output ------------------------------------------------------------------
@@ -347,11 +355,13 @@ def _params_metadata(params: ProtocolParams, n_max: int) -> dict:
 # --- mode runners -------------------------------------------------------------
 
 
+def _n_max(config: RunConfig, n_th: float) -> int:
+    return default_n_max(n_th) if config.n_max is None else config.n_max
+
+
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    params, _ = _resolve_protocol(config)
-    if params.r_a <= 0:
-        raise ConfigError("evolve mode needs r_a > 0 to fix the time unit")
-    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
+    params = config.protocol
+    n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     gen = build_generator(params, kick, n_max)
     initial = thermal_distribution(params.n_th, n_max)
@@ -366,10 +376,8 @@ def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 
 def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    params, _ = _resolve_protocol(config)
-    if params.r_a <= 0:
-        raise ConfigError("strobe mode needs r_a > 0")
-    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
+    params = config.protocol
+    n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     initial = thermal_distribution(params.n_th, n_max)
     trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
@@ -383,8 +391,8 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 
 def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    params, _ = _resolve_protocol(config)
-    n_max = default_n_max(params.n_th) if config.n_max is None else config.n_max
+    params = config.protocol
+    n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     analytic = steady_state_analytic(params, kick, n_max)
     numeric = steady_state_numeric(build_generator(params, kick, n_max))
@@ -407,24 +415,15 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 
 def _sweep_point(
-    params: ProtocolParams,
-    env: QubitEnvironment | None,
-    sweep_spec: SweepSpec,
-    n_th: float,
-    ra_over_kappa: float,
-    p_e: float,
-    n_max_override: int | None,
+    config: RunConfig, n_th: float, ra_over_kappa: float, p_e: float
 ) -> tuple:
-    n_max = default_n_max(n_th) if n_max_override is None else n_max_override
+    params = config.protocol
+    n_max = _n_max(config, n_th)
     point = replace(
         params, n_th=n_th, r_a=ra_over_kappa * params.kappa, p_e=p_e
     )
-    if sweep_spec.with_fidelity:
-        if env is None:
-            raise ConfigError("with_fidelity sweeps need a qubit environment")
-        result = corrected_steady_state(
-            point, env, n_max, p_override=p_e, include_fidelity=True
-        )
+    if config.sweep.with_fidelity:
+        result = corrected_steady_state(point, config.env, n_max)
     else:
         kick = build_kick_map(point.g, point.tau, p_e, n_max)
         result = steady_state_analytic(point, kick, n_max)
@@ -432,19 +431,14 @@ def _sweep_point(
 
 
 def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    params, env = _resolve_protocol(config)
-    sweep_spec = config.sweep
-    if sweep_spec is None:
-        raise ConfigError("sweep mode needs a [sweep] section or preset")
-    if not sweep_spec.n_th_grid or not sweep_spec.ra_over_kappa:
-        raise ConfigError("sweep grid is empty")
+    params, sweep_spec = config.protocol, config.sweep
     points = [
         (n_th, ra, p)
         for n_th in sweep_spec.n_th_grid
         for ra in sweep_spec.ra_over_kappa
         for p in sweep_spec.p_values
     ]
-    rows = [_sweep_point(params, env, sweep_spec, *pt, config.n_max) for pt in points]
+    rows = [_sweep_point(config, *pt) for pt in points]
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     meta = {
         "g_rad_per_s": params.g,
@@ -459,13 +453,8 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 
 def _run_device(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    if config.device is None:
-        raise ConfigError("device mode needs a [device] section or preset")
-    if config.device_tau is None or config.device_ra is None:
-        raise ConfigError("device mode needs tau_ns and ra_mhz")
-    dev = config.device
-    params, env = derive_protocol(dev, tau=config.device_tau, r_a=config.device_ra)
-    gamma_ej = corrections.relaxation_rate(env, env.e_j / hbar)
+    params, env, dev = config.protocol, config.env, config.device
+    gamma_ej = corrections.relaxation_rate(env, env.e_j / HBAR)
     gamma0 = corrections.relaxation_rate(env, env.omega0)
     schedule = duty_cycle_schedule(
         params.g,
@@ -558,11 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="apply the kick-decay fidelity correction",
             )
+        # run lengths default to the RunConfig field of the same name
         if mode == "evolve":
-            p.add_argument("--t-end-ra", type=float, default=120.0)
-            p.add_argument("--samples", type=int, default=481)
+            p.add_argument("--t-end-ra", type=float, default=argparse.SUPPRESS)
+            p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
         if mode == "strobe":
-            p.add_argument("--kicks", type=int, default=400)
+            p.add_argument("--kicks", type=int, dest="n_kicks", default=argparse.SUPPRESS)
     return parser
 
 
@@ -576,27 +566,35 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError("a --config file or --preset is required")
 
+    protocol, env, device = pieces.get("protocol"), pieces.get("env"), pieces.get("device")
+    if device is not None and (protocol is None or args.mode == "device"):
+        tau, r_a = pieces.get("device_tau"), pieces.get("device_ra")
+        if tau is None or r_a is None:
+            raise ConfigError("device-based runs need tau_ns and ra_mhz")
+        try:
+            protocol, env = derive_protocol(device, tau=tau, r_a=r_a)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [device]: {exc}") from exc
     fmt = args.format or pieces.get("fmt") or "csv"
     output = args.output or pieces.get("output") or f"kickcool_{args.mode}.{fmt}"
     sweep = pieces.get("sweep")
     if sweep is not None and getattr(args, "with_fidelity", False):
         sweep = replace(sweep, with_fidelity=True)
-    config = RunConfig(
+    run_lengths = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ("n_max", "t_end_ra", "samples", "n_kicks")
+    }
+    return RunConfig(
         mode=args.mode,
         output=output,
+        protocol=protocol,
         fmt=fmt,
-        protocol=pieces.get("protocol"),
-        env=pieces.get("env"),
-        device=pieces.get("device"),
-        device_tau=pieces.get("device_tau"),
-        device_ra=pieces.get("device_ra"),
+        env=env,
+        device=device,
         sweep=sweep,
-        n_max=getattr(args, "n_max", None),
-        t_end_ra=getattr(args, "t_end_ra", 120.0),
-        samples=getattr(args, "samples", 481),
-        n_kicks=getattr(args, "kicks", 400),
+        **run_lengths,
     )
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k
 
+from .constants import HBAR, K_B
 from .errors import ValidityWarning
 from .model import ProtocolParams, build_kick_map
 from .dynamics import (
@@ -61,7 +61,7 @@ def relaxation_rate(env: QubitEnvironment, omega: float) -> float:
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    x = hbar * omega / (2.0 * k * env.temperature)
+    x = HBAR * omega / (2.0 * K_B * env.temperature)
     return 0.5 * math.pi * env.alpha_g * omega * (1.0 / math.tanh(x) + 1.0)
 
 
@@ -71,7 +71,7 @@ def thermal_excitation_probability(env: QubitEnvironment) -> float:
     Lies in (0, 1/2]; returns exactly 0.0 once the exponent is beyond
     double-precision range.
     """
-    x = env.e_j / (k * env.temperature)
+    x = env.e_j / (K_B * env.temperature)
     if x > 700.0:
         return math.exp(-x) if x < 745.0 else 0.0
     return 1.0 / (1.0 + math.exp(x))
@@ -118,11 +118,7 @@ def kick_fidelity(gamma0: float, g: float, tau: float, level: int) -> float:
 
 
 def corrected_steady_state(
-    params: ProtocolParams,
-    env: QubitEnvironment,
-    n_max: int,
-    p_override: float | None = None,
-    include_fidelity: bool = True,
+    params: ProtocolParams, env: QubitEnvironment, n_max: int
 ) -> SteadyStateResult:
     """Steady state with reset-error and kick-decay corrections applied.
 
@@ -131,17 +127,16 @@ def corrected_steady_state(
 
         p_l / p_{l-1} = (n_th*l + p*ce2*F*R) / ((n_th+1)*l + (1-p)*ce2*F*R)
 
-    p is taken from the environment unless overridden; fidelity factors use
-    Gamma(omega0) and can be disabled to isolate the reset-error effect.
-    With p = 0 and Gamma = 0 this reproduces the ideal steady state bitwise.
+    p is params.p_e (derive_protocol sets it to the parked qubit's thermal
+    excitation); the fidelity factors use Gamma(omega0) of env, which is
+    zero for alpha_g = 0.  With p = 0 and alpha_g = 0 this reproduces the
+    ideal steady state bitwise.
     """
     if params.kappa <= 0:
         raise ValueError("the product formula needs kappa > 0")
-    p_e = thermal_excitation_probability(env) if p_override is None else float(p_override)
-    if not 0.0 <= p_e <= 1.0:
-        raise ValueError("excitation probability must lie in [0, 1]")
+    p_e = params.p_e
     _check_excitation_bound(params.n_th, p_e)
-    gamma0 = relaxation_rate(env, env.omega0) if include_fidelity else 0.0
+    gamma0 = relaxation_rate(env, env.omega0)
     if gamma0 * params.tau > 0.1:
         warnings.warn(
             f"Gamma(omega0)*tau = {gamma0 * params.tau:.3g} > 0.1: fidelity "
@@ -157,7 +152,7 @@ def corrected_steady_state(
     populations = _product_populations(
         params.n_th, params.ra_over_kappa, coupling, p_e
     )
-    return _result_from_populations(populations, kick, ANALYTIC_PRODUCT, tail_tol=1e-12)
+    return _result_from_populations(populations, kick, ANALYTIC_PRODUCT)
 
 
 def cooling_floor(params: ProtocolParams, env: QubitEnvironment) -> float:

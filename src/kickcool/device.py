@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import e, hbar, k
-
+from .constants import E_CHARGE, HBAR, K_B
 from .corrections import QubitEnvironment, thermal_excitation_probability
 from .model import ProtocolParams
 
@@ -28,9 +27,10 @@ class DeviceParams:
     omega0      : resonator angular frequency (rad/s)
     q_factor    : resonator quality factor
     e_c         : charging energy (J); derived from the capacitances if None
-    v_g         : gate voltage (V); informational, no derived quantity uses it
     mass, distance : resonator mass (kg) and qubit-resonator gap (m) for the
                   coupling formula; g_override (rad/s) bypasses them
+
+    The gate voltage enters no derived quantity, so it is not a field.
     """
 
     e_j: float
@@ -43,7 +43,6 @@ class DeviceParams:
     omega0: float
     q_factor: float
     e_c: float | None = None
-    v_g: float | None = None
     mass: float | None = None
     distance: float | None = None
     g_override: float | None = None
@@ -64,8 +63,6 @@ class DeviceParams:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if self.v_x == 0:
             raise ValueError("v_x must be non-zero")
-        if self.v_g is not None and self.v_g == 0:
-            raise ValueError("v_g must be non-zero when given")
         if self.e_c is not None and self.e_c <= 0:
             raise ValueError("e_c must be positive when given")
         has_md = self.mass is not None and self.distance is not None
@@ -81,12 +78,12 @@ class DeviceParams:
     @property
     def charging_energy(self) -> float:
         """E_c = e^2 / (2 C_sigma) unless given explicitly."""
-        return self.e_c if self.e_c is not None else e**2 / (2.0 * self.c_sigma)
+        return self.e_c if self.e_c is not None else E_CHARGE**2 / (2.0 * self.c_sigma)
 
     @property
     def n_x(self) -> float:
         """Cooper-pair number bias C_x V_x / (2e)."""
-        return self.c_x * abs(self.v_x) / (2.0 * e)
+        return self.c_x * abs(self.v_x) / (2.0 * E_CHARGE)
 
 
 @dataclass(frozen=True)
@@ -106,35 +103,31 @@ def coupling_from_geometry(dev: DeviceParams) -> float:
     """g = 4 E_c n_x x_zpf / (d hbar) with x_zpf = sqrt(hbar / 2 m omega0)."""
     if dev.mass is None or dev.distance is None:
         raise ValueError("mass and distance are required for the geometric coupling")
-    x_zpf = math.sqrt(hbar / (2.0 * dev.mass * dev.omega0))
-    return 4.0 * dev.charging_energy * dev.n_x * x_zpf / (dev.distance * hbar)
+    x_zpf = math.sqrt(HBAR / (2.0 * dev.mass * dev.omega0))
+    return 4.0 * dev.charging_energy * dev.n_x * x_zpf / (dev.distance * HBAR)
 
 
 def gate_fluctuation_coupling(dev: DeviceParams) -> float:
     """alpha_g = 2 e^2 R (C_x^2 + C_g^2) / (pi hbar C_sigma^2), dimensionless."""
     return (
         2.0
-        * e**2
+        * E_CHARGE**2
         * dev.resistance
         * (dev.c_x**2 + dev.c_g**2)
-        / (math.pi * hbar * dev.c_sigma**2)
+        / (math.pi * HBAR * dev.c_sigma**2)
     )
 
 
 def derive_protocol(
-    dev: DeviceParams,
-    tau: float,
-    r_a: float,
-    pulse_area: float | None = None,
+    dev: DeviceParams, tau: float, r_a: float
 ) -> tuple[ProtocolParams, QubitEnvironment]:
     """Derive the protocol parameters and noise environment of a device.
 
     Parameters
     ----------
     dev : device quantities (see DeviceParams)
-    tau : kick duration (s); ignored when pulse_area is given
-    r_a : kick repetition rate (1/s)
-    pulse_area : optional g*tau target; tau is then computed as pulse_area/g
+    tau : kick duration (s), passed through unchanged
+    r_a : kick repetition rate (1/s), passed through unchanged
 
     Returns
     -------
@@ -145,6 +138,8 @@ def derive_protocol(
       n_th  = 1 / (exp(hbar*omega0 / k_B T) - 1),
       alpha_g from the capacitance network, and
       p_e   the thermal excitation probability of the parked qubit.
+    ProtocolParams raises ValueError for a tau that is not positive or a
+    negative r_a.
     """
     g_geo = (
         coupling_from_geometry(dev)
@@ -164,17 +159,16 @@ def derive_protocol(
         raise ValueError("derived coupling must be positive")
 
     kappa = dev.omega0 / dev.q_factor
-    n_th = 1.0 / math.expm1(hbar * dev.omega0 / (k * dev.temperature))
+    n_th = 1.0 / math.expm1(HBAR * dev.omega0 / (K_B * dev.temperature))
     env = QubitEnvironment(
         alpha_g=gate_fluctuation_coupling(dev),
         temperature=dev.temperature,
         e_j=dev.e_j,
         omega0=dev.omega0,
     )
-    tau_eff = pulse_area / g if pulse_area is not None else tau
     params = ProtocolParams(
         g=g,
-        tau=tau_eff,
+        tau=tau,
         r_a=r_a,
         kappa=kappa,
         n_th=n_th,
@@ -188,22 +182,21 @@ def duty_cycle_schedule(
     gamma_ej: float,
     r_a: float,
     tau: float,
-    reset_multiplier: float = 10.0,
     gamma0: float | None = None,
     kappa: float | None = None,
 ) -> ScheduleReport:
     """Check that kick plus qubit reset fit inside one repetition period.
 
-    The reset window is reset_multiplier / Gamma(E_J) (the default 10 decay
-    times leave a residual excitation of e^-10).  The report also flags the
-    time-scale separations the protocol relies on when the corresponding
-    rates are supplied: g at least 10x above Gamma(omega0) and kappa, decay
-    and damping during the kick small (Gamma0*tau <= 0.05, kappa*tau <= 0.01).
+    The reset window is 10 / Gamma(E_J): ten decay times leave a residual
+    excitation of e^-10.  The report also flags the time-scale separations
+    the protocol relies on when the corresponding rates are supplied: g at
+    least 10x above Gamma(omega0) and kappa, decay and damping during the
+    kick small (Gamma0*tau <= 0.05, kappa*tau <= 0.01).
     Report-only: nothing raises.
     """
     if min(g, gamma_ej, r_a, tau) <= 0:
         raise ValueError("g, gamma_ej, r_a and tau must be positive")
-    reset_time = reset_multiplier / gamma_ej
+    reset_time = 10.0 / gamma_ej
     budget = tau + reset_time
     period = 1.0 / r_a
     flags: list[str] = []

@@ -28,6 +28,7 @@ from .errors import (
     TruncationOverflowWarning,
 )
 from .model import (
+    TAIL_TOL,
     KickMap,
     PhononDistribution,
     ProtocolParams,
@@ -178,19 +179,17 @@ def build_generator(
     return GeneratorMatrix(up=up, down=down, params=params, kick=kick)
 
 
-def _validated_sample(
-    p: np.ndarray, tail_tol: float, noise_floor: float = 1e-7
-) -> PhononDistribution:
+def _validated_sample(p: np.ndarray) -> PhononDistribution:
     """Clamp integrator noise before applying the distribution invariants.
 
     Solver output can undershoot zero on near-empty levels by far more than
     the model-core clamp allows: at rtol 1e-10 the global error over a few
-    thousand steps reaches the 1e-8 scale.  Anything within that budget is
-    zeroed; anything worse is a genuine tolerance failure.  Tail mass is
-    checked once per run by the caller, not per sample.
+    thousand steps reaches the 1e-8 scale.  Anything within 1e-7 is zeroed;
+    anything worse is a genuine tolerance failure.  Tail mass is checked
+    once per run by the caller, not per sample.
     """
     lowest = p.min()
-    if lowest < -noise_floor:
+    if lowest < -1e-7:
         raise ConvergenceError(
             f"integrated population went negative ({lowest:.3e}); the solve "
             "did not meet its tolerance"
@@ -198,7 +197,7 @@ def _validated_sample(
     if lowest < 0.0:
         p = np.maximum(p, 0.0)
         p = p / p.sum()
-    return PhononDistribution(p, tail_tol=tail_tol, check_tail=False)
+    return PhononDistribution(p, check_tail=False)
 
 
 def evolve(
@@ -248,15 +247,15 @@ def evolve(
     p0 = np.empty(times.size)
     tail_seen = 0.0
     for j in range(times.size):
-        dist = _validated_sample(sol.y[:, j].copy(), initial.tail_tol)
+        dist = _validated_sample(sol.y[:, j].copy())
         mean_n[j] = float(n @ dist.populations)
         p0[j] = dist.p0
         tail_seen = max(tail_seen, dist.populations[-1])
         if snapshots is not None:
             snapshots.append(dist)
     # below ~1e-8 the top level is dominated by integration noise, so real
-    # tail growth can only be resolved above that floor
-    if tail_seen > max(initial.tail_tol, 1e-8):
+    # tail growth can only be resolved above that floor, not at TAIL_TOL
+    if tail_seen > 1e-8:
         warnings.warn(
             f"tail mass grew to {tail_seen:.3e} during the evolution",
             TruncationOverflowWarning,
@@ -313,14 +312,14 @@ def evolve_stroboscopic(
         mean_n.append(float(n @ state))
         p0.append(float(state[0]))
         if snapshots is not None:
-            snapshots.append(_validated_sample(state.copy(), initial.tail_tol))
+            snapshots.append(_validated_sample(state.copy()))
         state = _kick_vector(state, kick)
         times.append(t_kick + offset)
         mean_n.append(float(n @ state))
         p0.append(float(state[0]))
         if snapshots is not None:
-            snapshots.append(_validated_sample(state.copy(), initial.tail_tol))
-    if state[-1] > initial.tail_tol:
+            snapshots.append(_validated_sample(state.copy()))
+    if state[-1] > TAIL_TOL:
         warnings.warn(
             f"tail mass reached {state[-1]:.3e} during the stroboscopic run",
             TruncationOverflowWarning,
@@ -374,9 +373,9 @@ def _product_populations(
 
 
 def _result_from_populations(
-    p: np.ndarray, kick: KickMap, method: str, tail_tol: float
+    p: np.ndarray, kick: KickMap, method: str
 ) -> SteadyStateResult:
-    dist = PhononDistribution(p, tail_tol=tail_tol)
+    dist = PhononDistribution(p)
     return SteadyStateResult(
         populations=dist,
         mean_n_s=mean_phonon(dist),
@@ -412,7 +411,7 @@ def steady_state_analytic(
     p = _product_populations(
         params.n_th, params.ra_over_kappa, kick.ce2[:n_max], params.p_e
     )
-    return _result_from_populations(p, kick, ANALYTIC_PRODUCT, tail_tol=1e-12)
+    return _result_from_populations(p, kick, ANALYTIC_PRODUCT)
 
 
 def _connected_blocks(up: np.ndarray, down: np.ndarray, scale: float) -> list[int]:
@@ -486,26 +485,19 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
     vec /= vec.sum()
     full = np.zeros(gen.n_max + 1)
     full[: top + 1] = vec
-    return _result_from_populations(full, gen.kick, NULL_SPACE, tail_tol=1e-12)
+    return _result_from_populations(full, gen.kick, NULL_SPACE)
 
 
-def steady_state_longtime(
-    gen: GeneratorMatrix,
-    initial: PhononDistribution | None = None,
-    max_steps: int = 400,
-) -> SteadyStateResult:
+def steady_state_longtime(gen: GeneratorMatrix) -> SteadyStateResult:
     """Steady state by marching the dynamics until dP/dt vanishes.
 
-    Uses unconditionally stable implicit-Euler macro-steps (banded solves),
-    whose fixed point satisfies G P = 0 exactly; iteration stops once the
+    Starts from the bath's thermal distribution and takes up to 400
+    unconditionally stable implicit-Euler macro-steps (banded solves), whose
+    fixed point satisfies G P = 0 exactly; iteration stops once the
     gap-normalized residual ||G P||_inf / gap_rate is at 1e-12 or has
     stopped improving at the floating-point floor.
     """
     size = gen.n_max + 1
-    if initial is None:
-        initial = thermal_distribution(gen.params.n_th, gen.n_max)
-    if initial.n_max != gen.n_max:
-        raise ValueError("initial distribution does not match the generator size")
     up, down = gen.up, gen.down
     scale = np.abs(gen.diag).max()
     if scale == 0.0:
@@ -525,11 +517,11 @@ def steady_state_longtime(
     ab[1, :] = 1.0 - dt * gen.diag
     ab[2, :-1] = -dt * up
 
-    state = initial.populations.copy()
+    state = thermal_distribution(gen.params.n_th, gen.n_max).populations.copy()
     best = state
     best_res = np.inf
     stall = 0
-    for _ in range(max_steps):
+    for _ in range(400):
         state = solve_banded((1, 1), ab, state)
         state = np.maximum(state, 0.0)
         state /= state.sum()
@@ -544,7 +536,7 @@ def steady_state_longtime(
         raise ConvergenceError(
             f"stationarity residual stalled at {best_res:.3e} (target 1e-12)"
         )
-    return _result_from_populations(best, gen.kick, LONG_TIME, tail_tol=1e-12)
+    return _result_from_populations(best, gen.kick, LONG_TIME)
 
 
 def steady_state(

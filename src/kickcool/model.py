@@ -31,12 +31,11 @@ class PhononDistribution:
     Entries in (-1e-12, 0) are treated as rounding noise: they are clamped
     to zero and the vector is renormalized.  Anything more negative raises,
     since that signals a bug rather than floating-point dust.  A tail entry
-    at the top level above ``tail_tol`` triggers a truncation warning unless
+    at the top level above TAIL_TOL triggers a truncation warning unless
     the producing operation already reported it.
     """
 
     populations: np.ndarray
-    tail_tol: float = TAIL_TOL
     check_tail: InitVar[bool] = True
 
     def __post_init__(self, check_tail: bool) -> None:
@@ -57,10 +56,10 @@ class PhononDistribution:
         total = p.sum()
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"populations sum to {total!r}, not 1 within {SUM_TOL:.0e}")
-        if check_tail and p[-1] > self.tail_tol:
+        if check_tail and p[-1] > TAIL_TOL:
             warnings.warn(
                 f"top-level population {p[-1]:.3e} exceeds tail tolerance "
-                f"{self.tail_tol:.0e}; increase n_max",
+                f"{TAIL_TOL:.0e}; increase n_max",
                 TruncationOverflowWarning,
                 stacklevel=3,
             )
@@ -223,7 +222,7 @@ def apply_kick(dist: PhononDistribution, kick: KickMap) -> PhononDistribution:
     out = _kick_vector(p, kick)
     if kick.p_e > 0.0:
         inflow_top = kick.p_e * kick.ce2[-2] * p[-2]
-        if inflow_top > dist.tail_tol:
+        if inflow_top > TAIL_TOL:
             warnings.warn(
                 f"excited-qubit branch moved {inflow_top:.3e} into the top level; "
                 "truncation is too tight for this kick",
@@ -238,7 +237,7 @@ def apply_kick(dist: PhononDistribution, kick: KickMap) -> PhononDistribution:
             stacklevel=2,
         )
         out /= out.sum()
-    return PhononDistribution(out, tail_tol=dist.tail_tol, check_tail=False)
+    return PhononDistribution(out, check_tail=False)
 
 
 def mean_phonon(dist: PhononDistribution) -> float:
@@ -247,25 +246,23 @@ def mean_phonon(dist: PhononDistribution) -> float:
     return float(np.arange(p.size) @ p)
 
 
-def thermal_distribution(
-    n_th: float, n_max: int, tail_tol: float = TAIL_TOL
-) -> PhononDistribution:
+def thermal_distribution(n_th: float, n_max: int) -> PhononDistribution:
     """Thermal (geometric) distribution p_n ~ [n_th/(n_th+1)]^n on 0..n_max."""
     if n_th < 0:
         raise ValueError("n_th must be non-negative")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     q = n_th / (n_th + 1.0)
-    if q > 0 and q**n_max > tail_tol:
+    if q > 0 and q**n_max > TAIL_TOL:
         warnings.warn(
             f"thermal tail ratio {q**n_max:.3e} at n_max={n_max} exceeds "
-            f"{tail_tol:.0e}; increase n_max",
+            f"{TAIL_TOL:.0e}; increase n_max",
             TruncationOverflowWarning,
             stacklevel=2,
         )
     p = q ** np.arange(n_max + 1, dtype=float)
     p /= p.sum()
-    return PhononDistribution(p, tail_tol=tail_tol, check_tail=False)
+    return PhononDistribution(p, check_tail=False)
 
 
 def number_state(n: int, n_max: int) -> PhononDistribution:
@@ -277,11 +274,11 @@ def number_state(n: int, n_max: int) -> PhononDistribution:
     return PhononDistribution(p, check_tail=(n != n_max))
 
 
-def default_n_max(n_th: float, tail_tol: float = TAIL_TOL) -> int:
-    """Truncation size keeping the thermal tail ratio below tail_tol.
+def default_n_max(n_th: float) -> int:
+    """Truncation size keeping the thermal tail ratio below TAIL_TOL.
 
     Starts at max(60, ceil(20 + 12*n_th)) and grows by 50% until the
-    thermal weight ratio [n_th/(n_th+1)]**n_max is below tail_tol, the
+    thermal weight ratio [n_th/(n_th+1)]**n_max is below TAIL_TOL, the
     same condition thermal_distribution warns on.
     """
     if n_th < 0:
@@ -290,6 +287,6 @@ def default_n_max(n_th: float, tail_tol: float = TAIL_TOL) -> int:
     q = n_th / (n_th + 1.0)
     if q == 0.0:
         return n
-    while q**n > tail_tol:
+    while q**n > TAIL_TOL:
         n = math.ceil(1.5 * n)
     return n

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DiagonalClosureError, TruncationOverflowWarning
-from .model import PhononDistribution
+from .model import TAIL_TOL, PhononDistribution
 
 # basis ordering: |n, q> -> 2n + q with q = 0 (ground), 1 (excited)
 
@@ -66,7 +66,7 @@ def kick_oracle(
     """
     p = dist.populations
     n_max = dist.n_max
-    if p[-1] > dist.tail_tol or p[-2] > dist.tail_tol:
+    if p[-1] > TAIL_TOL or p[-2] > TAIL_TOL:
         warnings.warn(
             "input has non-negligible mass at the top two levels; the "
             "truncated interaction block distorts the result there",
@@ -85,4 +85,4 @@ def kick_oracle(
             f"traced state has off-diagonal element {worst:.3e} > 1e-12"
         )
     diag = np.real(np.diag(reduced)).copy()
-    return PhononDistribution(diag, tail_tol=dist.tail_tol, check_tail=False)
+    return PhononDistribution(diag, check_tail=False)

@@ -5,6 +5,7 @@ lines.  Tolerances are fixed here and nowhere else.
 """
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_criterion_4_sweep_scalings_and_reset_error_floor(tmp_path):
         kappa=KAPPA_REF, n_th=0.0,
     )
     env = QubitEnvironment(alpha_g=0.0, temperature=0.01, e_j=1e-23, omega0=2 * np.pi * 1e8)
-    result = corrected_steady_state(params, env, 60, p_override=1e-4)
+    result = corrected_steady_state(replace(params, p_e=1e-4), env, 60)
     p = result.populations.populations
     assert p[1] / p[0] == pytest.approx(0.1 / 1000.9, rel=0.05)
     report(

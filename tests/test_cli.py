@@ -34,6 +34,30 @@ ra_over_kappa = 100, 1000
 p_excited = 0
 """
 
+DEVICE_CONFIG = """
+[device]
+e_j_uev = 82.7
+c_x_af = 20
+c_g_af = 20
+c_j_af = 210
+v_x_v = 0.25
+r_ohm = 50
+temperature_mk = 10
+omega0_mhz = 628.3185307179587
+q_factor = 2e5
+g_mhz = 62.83185307179586
+tau_ns = 25
+ra_mhz = 3.0
+
+[sweep]
+n_th_min = 0.1
+n_th_max = 10
+n_th_count = 3
+ra_over_kappa = 100, 1000
+p_excited = 0
+with_fidelity = true
+"""
+
 
 def read_rows(path):
     lines = path.read_text().splitlines()
@@ -227,6 +251,58 @@ class TestErrorPaths:
     def test_flags_a_mode_ignores_are_rejected(self, tmp_path, argv):
         out = tmp_path / "x.csv"
         assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, old, new",
+        [
+            ("device", "tau_ns = 25", "tau_ns = nan"),
+            ("device", "temperature_mk = 10", "temperature_mk = inf"),
+            ("evolve", "n_th = 1.7", "n_th = inf"),
+            ("strobe", "n_th = 1.7", "n_th = inf"),
+            ("steady", "n_th = 1.7", "n_th = inf"),
+            ("steady", "n_th = 1.7", "n_th = nan"),
+            ("sweep", "ra_over_kappa = 100, 1000", "ra_over_kappa = 100, inf"),
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, mode, old, new):
+        template = {"device": DEVICE_CONFIG, "sweep": SWEEP_CONFIG}.get(mode, CONFIG_TEMPLATE)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(template.replace(old, new))
+        out = tmp_path / "x.csv"
+        assert main([mode, "--config", str(cfg), "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["steady", "sweep"])
+    def test_zero_kappa_is_config_error(self, tmp_path, capsys, mode):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            SWEEP_CONFIG.replace("kappa_mhz = 0.0031415926535897933", "kappa_mhz = 0")
+        )
+        out = tmp_path / "x.csv"
+        assert main([mode, "--config", str(cfg), "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["device", "sweep"])
+    @pytest.mark.parametrize(
+        "old, new", [("tau_ns = 25", "tau_ns = -25"), ("ra_mhz = 3.0", "ra_mhz = -3")]
+    )
+    def test_bad_device_timing_is_config_error(self, tmp_path, capsys, mode, old, new):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(DEVICE_CONFIG.replace(old, new))
+        out = tmp_path / "x.csv"
+        assert main([mode, "--config", str(cfg), "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_kick_rate_is_config_error_in_device_mode(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(DEVICE_CONFIG.replace("ra_mhz = 3.0", "ra_mhz = 0"))
+        out = tmp_path / "x.csv"
+        assert main(["device", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.constants import e, hbar
@@ -125,7 +127,7 @@ class TestCorrectedSteadyState:
         kick = build_kick_map(params.g, params.tau, 0.0, 60)
         plain = steady_state_analytic(params, kick, 60)
         env = reference_env(alpha_g=0.0)
-        corrected = corrected_steady_state(params, env, 60, p_override=0.0)
+        corrected = corrected_steady_state(replace(params, p_e=0.0), env, 60)
         assert np.array_equal(
             corrected.populations.populations, plain.populations.populations
         )
@@ -138,7 +140,7 @@ class TestCorrectedSteadyState:
             kappa=KAPPA_REF, n_th=0.0,
         )
         env = reference_env(alpha_g=0.0)
-        result = corrected_steady_state(params, env, 60, p_override=1e-4)
+        result = corrected_steady_state(replace(params, p_e=1e-4), env, 60)
         p = result.populations.populations
         expected = 0.1 / 1000.9
         assert p[1] / p[0] == pytest.approx(expected, rel=1e-9)
@@ -151,7 +153,7 @@ class TestCorrectedSteadyState:
         )
         env = reference_env(alpha_g=0.0)
         means = [
-            corrected_steady_state(params, env, 80, p_override=p).mean_n_s
+            corrected_steady_state(replace(params, p_e=p), env, 80).mean_n_s
             for p in [0.0, 1e-5, 1e-4, 1e-3, 1e-2]
         ]
         assert all(b >= a for a, b in zip(means, means[1:]))
@@ -167,7 +169,7 @@ class TestCorrectedSteadyState:
         for alpha_g in [0.0, 1e-5, 1e-4, 5e-4]:
             env = reference_env(alpha_g=alpha_g)
             means.append(
-                corrected_steady_state(params, env, 80, p_override=1e-4).mean_n_s
+                corrected_steady_state(replace(params, p_e=1e-4), env, 80).mean_n_s
             )
         assert all(b >= a for a, b in zip(means, means[1:]))
 
@@ -180,7 +182,7 @@ class TestCorrectedSteadyState:
             kappa=KAPPA_REF, n_th=1.0, p_e=p_e,
         )
         env = reference_env(alpha_g=0.0)
-        formula = corrected_steady_state(params, env, 100, p_override=p_e)
+        formula = corrected_steady_state(params, env, 100)
         kick = build_kick_map(params.g, params.tau, p_e, 100)
         numeric = steady_state_numeric(build_generator(params, kick, 100))
         np.testing.assert_allclose(
@@ -195,10 +197,8 @@ class TestCorrectedSteadyState:
             kappa=KAPPA_REF, n_th=10.0,
         )
         env = reference_env()
-        with_f = corrected_steady_state(params, env, 200, p_override=0.0)
-        without_f = corrected_steady_state(
-            params, env, 200, p_override=0.0, include_fidelity=False
-        )
+        with_f = corrected_steady_state(params, env, 200)
+        without_f = corrected_steady_state(params, replace(env, alpha_g=0.0), 200)
         assert with_f.mean_n_s > without_f.mean_n_s
 
 
