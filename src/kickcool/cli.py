@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
+# corrected_steady_state stays bound here, where bench/worker.py wraps it;
+# the sweep calls its tabulated form, corrections._corrected_from_coupling
 from .corrections import QubitEnvironment, corrected_steady_state
 from .device import DeviceParams, derive_protocol, duty_cycle_schedule
 from .dynamics import (
@@ -36,7 +38,13 @@ from .errors import (
     DiagonalClosureError,
     NonNormalizableError,
 )
-from .model import ProtocolParams, build_kick_map, default_n_max, thermal_distribution
+from .model import (
+    KickMap,
+    ProtocolParams,
+    build_kick_map,
+    default_n_max,
+    thermal_distribution,
+)
 from . import corrections
 
 MODES = ("evolve", "strobe", "steady", "sweep", "device")
@@ -356,7 +364,12 @@ def _params_metadata(params: ProtocolParams, n_max: int) -> dict:
 
 
 def _n_max(config: RunConfig, n_th: float) -> int:
-    return default_n_max(n_th) if config.n_max is None else config.n_max
+    if config.n_max is not None:
+        return config.n_max
+    try:
+        return default_n_max(n_th)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
@@ -414,31 +427,43 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     return meta, ["n", "p_analytic", "p_numeric"], rows
 
 
-def _sweep_point(
-    config: RunConfig, n_th: float, ra_over_kappa: float, p_e: float
-) -> tuple:
-    params = config.protocol
-    n_max = _n_max(config, n_th)
-    point = replace(
-        params, n_th=n_th, r_a=ra_over_kappa * params.kappa, p_e=p_e
-    )
-    if config.sweep.with_fidelity:
-        result = corrected_steady_state(point, config.env, n_max)
-    else:
-        kick = build_kick_map(point.g, point.tau, p_e, n_max)
-        result = steady_state_analytic(point, kick, n_max)
-    return (n_th, ra_over_kappa, p_e, result.mean_n_s, result.delta_n, result.p0_s)
-
-
 def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+    """Every grid point by the product formula, from one kick tabulation.
+
+    All points share the pulse area, and each tabulated weight depends on
+    its own level only, so the table built at the largest n_max the grid
+    needs, sliced to a point's n_max, equals that point's own tabulation
+    bitwise; so does the decayed coupling of fidelity runs.
+    """
     params, sweep_spec = config.protocol, config.sweep
-    points = [
-        (n_th, ra, p)
-        for n_th in sweep_spec.n_th_grid
-        for ra in sweep_spec.ra_over_kappa
-        for p in sweep_spec.p_values
-    ]
-    rows = [_sweep_point(config, *pt) for pt in points]
+    n_maxes = {n_th: _n_max(config, n_th) for n_th in sweep_spec.n_th_grid}
+    table = build_kick_map(params.g, params.tau, 0.0, max(n_maxes.values()))
+    if sweep_spec.with_fidelity:
+        gamma0 = corrections.relaxation_rate(config.env, config.env.omega0)
+        coupling = corrections._decayed_coupling(params, gamma0, table)
+    rows = []
+    for n_th in sweep_spec.n_th_grid:
+        n_max = n_maxes[n_th]
+        for ra_over_kappa in sweep_spec.ra_over_kappa:
+            for p_e in sweep_spec.p_values:
+                point = replace(
+                    params, n_th=n_th, r_a=ra_over_kappa * params.kappa, p_e=p_e
+                )
+                kick = KickMap(
+                    ce2=table.ce2[: n_max + 1],
+                    cg2=table.cg2[: n_max + 1],
+                    p_e=p_e,
+                    theta=table.theta,
+                )
+                if sweep_spec.with_fidelity:
+                    result = corrections._corrected_from_coupling(
+                        point, gamma0, kick, coupling[:n_max]
+                    )
+                else:
+                    result = steady_state_analytic(point, kick, n_max)
+                rows.append(
+                    (n_th, ra_over_kappa, p_e, result.mean_n_s, result.delta_n, result.p0_s)
+                )
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     meta = {
         "g_rad_per_s": params.g,
@@ -446,7 +471,7 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
         "kappa_per_s": params.kappa,
         "pulse_area_rad": params.theta,
         "with_fidelity": sweep_spec.with_fidelity,
-        "n_points": len(points),
+        "n_points": len(rows),
     }
     columns = ["n_th", "ra_over_kappa", "p", "mean_n_s", "delta_n", "p0_s"]
     return meta, columns, rows

@@ -159,7 +159,11 @@ def derive_protocol(
         raise ValueError("derived coupling must be positive")
 
     kappa = dev.omega0 / dev.q_factor
-    n_th = 1.0 / math.expm1(HBAR * dev.omega0 / (K_B * dev.temperature))
+    x = HBAR * dev.omega0 / (K_B * dev.temperature)
+    try:
+        n_th = 1.0 / math.expm1(x)
+    except OverflowError:  # x > ~709.8: n_th = exp(-x), 0.0 past double range
+        n_th = math.exp(-x)
     env = QubitEnvironment(
         alpha_g=gate_fluctuation_coupling(dev),
         temperature=dev.temperature,

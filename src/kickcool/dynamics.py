@@ -405,8 +405,10 @@ def steady_state_analytic(
     """
     if params.kappa <= 0:
         raise ValueError("the product formula needs kappa > 0")
-    if kick.n_max < n_max:
-        raise ValueError("kick map is smaller than the requested truncation")
+    if kick.n_max != n_max:
+        raise ValueError(
+            f"kick sized for n_max={kick.n_max}, steady state requested for {n_max}"
+        )
     _check_excitation_bound(params.n_th, params.p_e)
     p = _product_populations(
         params.n_th, params.ra_over_kappa, kick.ce2[:n_max], params.p_e

@@ -279,7 +279,9 @@ def default_n_max(n_th: float) -> int:
 
     Starts at max(60, ceil(20 + 12*n_th)) and grows by 50% until the
     thermal weight ratio [n_th/(n_th+1)]**n_max is below TAIL_TOL, the
-    same condition thermal_distribution warns on.
+    same condition thermal_distribution warns on.  Raises ValueError when
+    n_th is so large (about 1e16 and above) that the ratio rounds to 1, so
+    that no truncation meets the condition.
     """
     if n_th < 0:
         raise ValueError("n_th must be non-negative")
@@ -287,6 +289,11 @@ def default_n_max(n_th: float) -> int:
     q = n_th / (n_th + 1.0)
     if q == 0.0:
         return n
+    if q == 1.0:
+        raise ValueError(
+            f"n_th = {n_th!r} is too large to size a truncation: the thermal "
+            "ratio n_th/(n_th+1) rounds to 1"
+        )
     while q**n > TAIL_TOL:
         n = math.ceil(1.5 * n)
     return n

@@ -1,8 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kickcool import (
+    build_kick_map,
+    corrected_steady_state,
+    default_n_max,
+    steady_state_analytic,
+)
 from kickcool.cli import PRESETS, ConfigError, build_parser, config_from_args, main
 
 CONFIG_TEMPLATE = """
@@ -171,6 +178,44 @@ class TestSweepMode:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("with_fidelity", [False, True])
+    @pytest.mark.parametrize("n_max_flag", [[], ["--n-max", "400"]])
+    def test_rows_equal_per_point_library_calls_bitwise(
+        self, tmp_path, with_fidelity, n_max_flag
+    ):
+        # three n_th with three different default truncations (60 to 315),
+        # sliced from one table sized for the largest
+        template = DEVICE_CONFIG if with_fidelity else SWEEP_CONFIG
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(template.replace("p_excited = 0", "p_excited = 0, 1e-4"))
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--config", str(cfg), "--format", "json", "--output", str(out)]
+        assert main(argv + n_max_flag) == 0
+        data = json.loads(out.read_text())["data"]
+        config = config_from_args(build_parser().parse_args(argv + n_max_flag))
+        assert config.sweep.with_fidelity == with_fidelity
+        assert len(data["n_th"]) == 12
+        for i, n_th in enumerate(data["n_th"]):
+            ra_over_kappa, p_e = data["ra_over_kappa"][i], data["p"][i]
+            point = replace(
+                config.protocol,
+                n_th=n_th,
+                r_a=ra_over_kappa * config.protocol.kappa,
+                p_e=p_e,
+            )
+            n_max = config.n_max or default_n_max(n_th)
+            if config.sweep.with_fidelity:
+                result = corrected_steady_state(point, config.env, n_max)
+            else:
+                kick = build_kick_map(point.g, point.tau, p_e, n_max)
+                result = steady_state_analytic(point, kick, n_max)
+            assert (data["mean_n_s"][i], data["delta_n"][i], data["p0_s"][i]) == (
+                result.mean_n_s,
+                result.delta_n,
+                result.p0_s,
+            )
+
+
 class TestDeviceMode:
     def test_report_quantities(self, tmp_path):
         out = tmp_path / "device.csv"
@@ -182,6 +227,15 @@ class TestDeviceMode:
         assert table["n_x"] == pytest.approx(15.0, rel=0.10)
         assert table["alpha_g"] == pytest.approx(1e-4, rel=0.20)
         assert table["budget_closes"] == 1.0
+
+    def test_bath_too_cold_for_expm1_runs(self, tmp_path):
+        # hbar*omega0/(k_B*T) ~ 4.8e6: n_th is exactly 0.0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(DEVICE_CONFIG.replace("temperature_mk = 10", "temperature_mk = 1e-6"))
+        out = tmp_path / "device.csv"
+        assert main(["device", "--config", str(cfg), "--output", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert {r[0]: float(r[1]) for r in rows}["n_th"] == 0.0
 
 
 class TestErrorPaths:
@@ -303,6 +357,24 @@ class TestErrorPaths:
         out = tmp_path / "x.csv"
         assert main(["device", "--config", str(cfg), "--output", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, old, new",
+        [
+            ("steady", "n_th = 1.7", "n_th = 1e17"),
+            ("evolve", "n_th = 1.7", "n_th = 1e17"),
+            ("sweep", "n_th_max = 10", "n_th_max = 1e17"),
+        ],
+    )
+    def test_unsizable_n_th_is_config_error(self, tmp_path, capsys, mode, old, new):
+        # n_th/(n_th+1) rounds to 1: no truncation keeps the thermal tail small
+        template = SWEEP_CONFIG if mode == "sweep" else CONFIG_TEMPLATE
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(template.replace(old, new))
+        out = tmp_path / "x.csv"
+        assert main([mode, "--config", str(cfg), "--output", str(out)]) == 2
+        assert "too large to size a truncation" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path):

@@ -102,6 +102,17 @@ class TestDeriveProtocol:
         with pytest.raises(ValueError):
             derive_protocol(conflicting, tau=25e-9, r_a=3e6)
 
+    @pytest.mark.parametrize("x", [720.0, 1e6])
+    def test_cold_bath_occupation_takes_its_limit(self, x):
+        # 1/expm1(x) overflows past x ~ 709.8; n_th is then exp(-x), which
+        # reaches 0.0 past double range
+        temperature = HBAR * OMEGA0 / (K_B * x)
+        params, _ = derive_protocol(
+            reference_device(temperature=temperature), tau=25e-9, r_a=3e6
+        )
+        assert params.n_th == np.exp(-HBAR * OMEGA0 / (K_B * temperature))
+        assert (params.n_th > 0.0) == (x < 745.0)
+
     def test_derived_p_e_is_negligible_when_parked_high(self):
         params, _ = derive_protocol(reference_device(), tau=25e-9, r_a=3e6)
         assert params.p_e < 1e-40

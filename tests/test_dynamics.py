@@ -354,6 +354,13 @@ class TestSteadyStateAnalytic:
         with pytest.raises(ValueError):
             steady_state_analytic(params, kick, 30)
 
+    @pytest.mark.parametrize("kick_n_max", [40, 100])
+    def test_kick_size_must_match_truncation(self, kick_n_max):
+        params = make_params(1.0, 100.0, np.pi / 2.0)
+        kick = build_kick_map(params.g, params.tau, 0.0, kick_n_max)
+        with pytest.raises(ValueError, match=f"kick sized for n_max={kick_n_max}"):
+            steady_state_analytic(params, kick, 60)
+
 
 class TestSteadyStateNumeric:
     def test_no_kicks_gives_thermal(self):

@@ -19,6 +19,7 @@ from kickcool import (
     steady_state_longtime,
     steady_state_numeric,
 )
+from kickcool.corrections import _decayed_coupling, _fidelity_profile
 
 G = 2 * math.pi * 1e7
 KAPPA = math.pi * 1e3
@@ -96,3 +97,25 @@ def test_generator_is_a_markov_generator(params, n_max, p_e, n_th):
     assert np.abs(dense.sum(axis=0)).max() <= 1e-14 * scale
     off_diagonal = dense - np.diag(np.diag(dense))
     assert off_diagonal.min() >= 0.0
+
+
+@given(
+    thetas,
+    st.integers(2, 5000).flatmap(lambda top: st.tuples(st.integers(1, top - 1), st.just(top))),
+    st.floats(0.0, 1e7),
+)
+def test_sliced_tabulation_equals_fresh_tabulation_bitwise(theta, sizes, gamma0):
+    # the sweep tabulates once at the largest n_max and slices per point
+    n_max, top = sizes
+    params = ProtocolParams(g=G, tau=theta / G, r_a=0.0, kappa=KAPPA, n_th=0.0)
+    table = build_kick_map(params.g, params.tau, 0.0, top)
+    fresh = build_kick_map(params.g, params.tau, 0.0, n_max)
+    assert table.ce2[: n_max + 1].tobytes() == fresh.ce2.tobytes()
+    assert table.cg2[: n_max + 1].tobytes() == fresh.cg2.tobytes()
+    levels = np.arange(1, top + 1, dtype=float)
+    profile = _fidelity_profile(gamma0, params.g, params.tau, levels)
+    fresh_levels = np.arange(1, n_max + 1, dtype=float)
+    fresh_profile = _fidelity_profile(gamma0, params.g, params.tau, fresh_levels)
+    assert profile[:n_max].tobytes() == fresh_profile.tobytes()
+    coupling = _decayed_coupling(params, gamma0, table)
+    assert coupling[:n_max].tobytes() == _decayed_coupling(params, gamma0, fresh).tobytes()
