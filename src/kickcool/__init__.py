@@ -15,7 +15,6 @@ from .model import (
     apply_kick,
     build_kick_map,
     default_n_max,
-    kick_matrix,
     mean_phonon,
     number_state,
     thermal_distribution,
@@ -96,7 +95,6 @@ __all__ = [
     "jc_unitary",
     "kick_fidelity",
     "kick_fluctuation",
-    "kick_matrix",
     "kick_oracle",
     "mean_phonon",
     "number_state",

@@ -50,6 +50,10 @@ from . import corrections
 MODES = ("evolve", "strobe", "steady", "sweep", "device")
 FORMATS = ("csv", "json")
 MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
+# most levels a run may use: the default truncation at n_th of about 2.5e4,
+# where the O(n_max) paths hold tens of MB; beyond it a run fails to allocate
+# (n_th = 1e15 asks for 4e16 levels)
+MAX_LEVELS = 10**6
 
 
 class ConfigError(Exception):
@@ -365,11 +369,18 @@ def _params_metadata(params: ProtocolParams, n_max: int) -> dict:
 
 def _n_max(config: RunConfig, n_th: float) -> int:
     if config.n_max is not None:
-        return config.n_max
-    try:
-        return default_n_max(n_th)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        n_max = config.n_max
+    else:
+        try:
+            n_max = default_n_max(n_th)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if n_max >= MAX_LEVELS:
+        raise ConfigError(
+            f"truncation n_max={n_max} needs {n_max + 1} levels, above the "
+            f"limit of {MAX_LEVELS} levels"
+        )
+    return n_max
 
 
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
@@ -436,7 +447,12 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     bitwise; so does the decayed coupling of fidelity runs.
     """
     params, sweep_spec = config.protocol, config.sweep
-    n_maxes = {n_th: _n_max(config, n_th) for n_th in sweep_spec.n_th_grid}
+    # hottest first: a bath too hot to size is reported before a cooler
+    # point whose truncation is merely over the limit
+    n_maxes = {
+        n_th: _n_max(config, n_th)
+        for n_th in sorted(sweep_spec.n_th_grid, reverse=True)
+    }
     table = build_kick_map(params.g, params.tau, 0.0, max(n_maxes.values()))
     if sweep_spec.with_fidelity:
         gamma0 = corrections.relaxation_rate(config.env, config.env.omega0)

@@ -12,14 +12,11 @@ product formula, a direct null-space solve, and long-time integration.
 """
 from __future__ import annotations
 
+import importlib
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm, solve_banded, svd
-from scipy.sparse import bmat, csc_matrix, diags
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ConvergenceError,
@@ -42,6 +39,36 @@ from .model import (
 ANALYTIC_PRODUCT = "analytic-product"
 NULL_SPACE = "null-space"
 LONG_TIME = "long-time"
+
+
+def _on_first_call(module: str, name: str):
+    """Stand-in for ``module.name`` that imports ``module`` on its first call.
+
+    Importing scipy costs several times the work of a sweep or device run,
+    and neither calls it; solvers pay the import when they first need it.
+    Call sites go through the module-level names bound below, so a wrapper
+    set on one of those names sees every call.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
+expm = _on_first_call("scipy.linalg", "expm")
+solve_banded = _on_first_call("scipy.linalg", "solve_banded")
+svd = _on_first_call("scipy.linalg", "svd")
+bmat = _on_first_call("scipy.sparse", "bmat")
+csc_matrix = _on_first_call("scipy.sparse", "csc_matrix")
+diags = _on_first_call("scipy.sparse", "diags")
+splu = _on_first_call("scipy.sparse.linalg", "splu")
 
 
 def _diagonal(up: np.ndarray, down: np.ndarray) -> np.ndarray:

@@ -189,19 +189,6 @@ def _kick_vector(p: np.ndarray, kick: KickMap) -> np.ndarray:
     return (1.0 - kick.p_e) * down + kick.p_e * up
 
 
-def kick_matrix(kick: KickMap) -> np.ndarray:
-    """Dense column-stochastic matrix M of the kick acting on populations."""
-    size = kick.n_max + 1
-    idx = np.arange(size - 1)
-    m = np.zeros((size, size))
-    m[np.arange(size), np.arange(size)] = (1.0 - kick.p_e) * kick.cg2
-    m[-1, -1] += kick.p_e  # reflecting top level in the excited branch
-    m[np.arange(size - 1), np.arange(size - 1)] += kick.p_e * (1.0 - kick.ce2[:-1])
-    m[idx, idx + 1] += (1.0 - kick.p_e) * kick.ce2[:-1]
-    m[idx + 1, idx] += kick.p_e * kick.ce2[:-1]
-    return m
-
-
 def apply_kick(dist: PhononDistribution, kick: KickMap) -> PhononDistribution:
     """One kick on a population vector.
 

@@ -1,0 +1,17 @@
+"""Dense reference form of the kick, for tests that check the banded code against it."""
+import numpy as np
+
+from kickcool import KickMap
+
+
+def kick_matrix(kick: KickMap) -> np.ndarray:
+    """Dense column-stochastic matrix M of the kick acting on populations."""
+    size = kick.n_max + 1
+    idx = np.arange(size - 1)
+    m = np.zeros((size, size))
+    m[np.arange(size), np.arange(size)] = (1.0 - kick.p_e) * kick.cg2
+    m[-1, -1] += kick.p_e  # reflecting top level in the excited branch
+    m[np.arange(size - 1), np.arange(size - 1)] += kick.p_e * (1.0 - kick.ce2[:-1])
+    m[idx, idx + 1] += (1.0 - kick.p_e) * kick.ce2[:-1]
+    m[idx + 1, idx] += kick.p_e * kick.ce2[:-1]
+    return m

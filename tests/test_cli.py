@@ -10,7 +10,14 @@ from kickcool import (
     default_n_max,
     steady_state_analytic,
 )
-from kickcool.cli import PRESETS, ConfigError, build_parser, config_from_args, main
+from kickcool.cli import (
+    MAX_LEVELS,
+    PRESETS,
+    ConfigError,
+    build_parser,
+    config_from_args,
+    main,
+)
 
 CONFIG_TEMPLATE = """
 [protocol]
@@ -375,6 +382,27 @@ class TestErrorPaths:
         out = tmp_path / "x.csv"
         assert main([mode, "--config", str(cfg), "--output", str(out)]) == 2
         assert "too large to size a truncation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, new, extra",
+        [
+            ("steady", "n_th = 1e6", []),
+            ("steady", "n_th = 1e15", []),
+            ("evolve", "n_th = 1e15", []),
+            ("steady", "n_th = 1.7", ["--n-max", str(10**9)]),
+        ],
+    )
+    def test_oversized_truncation_is_config_error(
+        self, tmp_path, capsys, mode, new, extra
+    ):
+        # sized, but far beyond what any run path can hold in memory
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(CONFIG_TEMPLATE.replace("n_th = 1.7", new))
+        out = tmp_path / "x.csv"
+        argv = [mode, "--config", str(cfg), "--output", str(out), *extra]
+        assert main(argv) == 2
+        assert f"limit of {MAX_LEVELS} levels" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output(self, tmp_path):

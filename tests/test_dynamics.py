@@ -16,7 +16,6 @@ from kickcool import (
     evolve,
     evolve_stroboscopic,
     kick_fluctuation,
-    kick_matrix,
     mean_phonon,
     number_state,
     steady_state,
@@ -25,6 +24,8 @@ from kickcool import (
     steady_state_numeric,
     thermal_distribution,
 )
+
+from kick_reference import kick_matrix
 
 G_REF = 2 * np.pi * 1e7
 KAPPA_REF = np.pi * 1e3

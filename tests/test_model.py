@@ -12,11 +12,12 @@ from kickcool import (
     apply_kick,
     build_kick_map,
     default_n_max,
-    kick_matrix,
     mean_phonon,
     number_state,
     thermal_distribution,
 )
+
+from kick_reference import kick_matrix
 
 
 class TestKickMap:

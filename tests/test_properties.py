@@ -13,8 +13,10 @@ from kickcool import (
     apply_kick,
     build_generator,
     build_kick_map,
+    damping_propagator,
     default_n_max,
     kick_oracle,
+    mean_phonon,
     steady_state_analytic,
     steady_state_longtime,
     steady_state_numeric,
@@ -81,6 +83,27 @@ def test_kick_conserves_probability_and_matches_oracle(body, theta, p_e):
     assert abs(kicked.populations.sum() - populations.sum()) <= 1e-12
     oracle = kick_oracle(dist, g=theta, tau=1.0, p_e=p_e)
     assert np.abs(kicked.populations - oracle.populations).max() <= 1e-12
+
+
+@given(
+    st.integers(1, 60).flatmap(
+        lambda n_max: st.lists(st.floats(0.0, 1.0), min_size=n_max + 1, max_size=n_max + 1)
+    ),
+    thetas,
+)
+def test_ground_state_kicks_never_heat(weights, theta):
+    assume(sum(weights) > 0.0)
+    dist = PhononDistribution(np.array(weights) / sum(weights), check_tail=False)
+    before = mean_phonon(dist)
+    after = mean_phonon(apply_kick(dist, build_kick_map(theta, 1.0, 0.0, dist.n_max)))
+    assert after - before <= 1e-12 * (1.0 + before)
+
+
+@given(protocols(), st.integers(1, 60), st.floats(-3.0, 1.0))
+def test_damping_propagator_is_column_stochastic(params, n_max, log_kappa_dt):
+    prop = damping_propagator(params, n_max, 10.0**log_kappa_dt / params.kappa)
+    assert prop.min() >= -1e-12
+    assert np.abs(prop.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 @given(
