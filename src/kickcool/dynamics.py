@@ -65,8 +65,6 @@ solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
 expm = _on_first_call("scipy.linalg", "expm")
 solve_banded = _on_first_call("scipy.linalg", "solve_banded")
 svd = _on_first_call("scipy.linalg", "svd")
-bmat = _on_first_call("scipy.sparse", "bmat")
-csc_matrix = _on_first_call("scipy.sparse", "csc_matrix")
 diags = _on_first_call("scipy.sparse", "diags")
 splu = _on_first_call("scipy.sparse.linalg", "splu")
 
@@ -77,6 +75,14 @@ def _diagonal(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     outflow[:-1] += up
     outflow[1:] += down
     return -outflow
+
+
+def _apply(up: np.ndarray, diag: np.ndarray, down: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G @ x for the tridiagonal generator with these three bands."""
+    out = diag * x
+    out[:-1] += down * x[1:]
+    out[1:] += up * x[:-1]
+    return out
 
 
 def _dense(up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -125,10 +131,7 @@ class GeneratorMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G @ x for a population vector x."""
-        out = self.diag * x
-        out[:-1] += self.down * x[1:]
-        out[1:] += self.up * x[:-1]
-        return out
+        return _apply(self.up, self.diag, self.down, x)
 
     def to_dense(self) -> np.ndarray:
         return _dense(self.up, self.down)
@@ -443,11 +446,30 @@ def steady_state_analytic(
     return _result_from_populations(p, kick, ANALYTIC_PRODUCT)
 
 
-def _connected_blocks(up: np.ndarray, down: np.ndarray, scale: float) -> list[int]:
-    """Boundaries l where both rates across (l-1, l) vanish."""
+def _connected_blocks(up: np.ndarray, down: np.ndarray, scale: float) -> np.ndarray:
+    """Levels l where both rates across (l, l+1) vanish, in increasing order."""
     tol = 1e-15 * scale
-    cuts = [l for l in range(up.size) if up[l] <= tol and down[l] <= tol]
-    return cuts
+    return np.flatnonzero((up <= tol) & (down <= tol))
+
+
+def _pinned_kernel(
+    up: np.ndarray, down: np.ndarray, diag: np.ndarray, pin: int
+) -> np.ndarray:
+    """Solve G p = 0 with row ``pin`` replaced by p[pin] = 1: one sparse LU.
+
+    Columns of G sum to zero, so the replaced row is minus the sum of the
+    others, which still fix p up to scale; the pin fixes the scale.  The
+    system is nonsingular when the kernel is one-dimensional and p[pin] != 0.
+    """
+    lower, main, upper = up.copy(), diag.copy(), down.copy()
+    main[pin] = 1.0
+    if pin > 0:
+        lower[pin - 1] = 0.0
+    if pin < upper.size:
+        upper[pin] = 0.0
+    rhs = np.zeros(main.size)
+    rhs[pin] = 1.0
+    return splu(diags([lower, main, upper], [-1, 0, 1], format="csc")).solve(rhs)
 
 
 def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
@@ -455,10 +477,15 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
 
     Splits the chain where both neighbouring rates vanish and solves on the
     component containing the ground state (the unique closed class reached
-    by cooling); a warning reports any removed degeneracy.  Small systems
-    use a dense SVD with an explicit one-dimensional-kernel check at
-    relative tolerance 1e-8; large systems use a sparse bordered solve of
-    [G, 1; 1^T, 0] whose residual is verified.
+    by cooling); a warning reports any removed degeneracy.  Components of
+    up to 600 levels use a dense SVD with an explicit one-dimensional-kernel
+    check at relative tolerance 1e-8.  Larger ones stay on the rate bands:
+    G p = 0 with one row replaced by p[pin] = 1 is a tridiagonal system,
+    factorised by one sparse LU.  The pin starts at level 0, or at the
+    highest level that cannot descend (the levels below it drain upwards
+    and hold no mass), and moves to the solution's most populated level if
+    that is another one; the residual ||G p||_inf is verified against 1e-9
+    of the rate scale.
     """
     # every off-diagonal rate is a summand of its column's diagonal, so the
     # largest diagonal magnitude is the largest entry of the generator
@@ -466,18 +493,18 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
     if scale == 0.0:
         raise DegenerateKernelError("generator is identically zero")
     cuts = _connected_blocks(gen.up, gen.down, scale)
-    top = cuts[0] if cuts else gen.n_max
-    if cuts:
+    top = int(cuts[0]) if cuts.size else gen.n_max
+    if cuts.size:
         warnings.warn(
             f"chain disconnects above level {top}; solving on the "
             "ground-state component and zeroing the rest",
             UserWarning,
             stacklevel=2,
         )
-    block = gen.to_dense()[: top + 1, : top + 1]
-    size = block.shape[0]
+    size = top + 1
 
     if size <= 600:
+        block = gen.to_dense()[:size, :size]
         _, s, vt = svd(block)
         kernel_dim = int(np.sum(s <= 1e-8 * s[0])) if s[0] > 0 else size
         if kernel_dim != 1:
@@ -486,19 +513,22 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
             )
         vec = vt[-1]
     else:
-        ones_col = np.ones((size, 1))
-        bordered = bmat(
-            [[csc_matrix(block), csc_matrix(ones_col)], [csc_matrix(ones_col.T), None]],
-            format="csc",
-        )
-        rhs = np.zeros(size + 1)
-        rhs[-1] = 1.0
+        up, down = gen.up[:top], gen.down[:top]
+        diag = _diagonal(up, down)
+        # down[l] is the rate l+1 -> l: below a level that cannot descend
+        # the chain drains upwards and holds no mass
+        drains = np.flatnonzero(down <= 1e-15 * scale)
+        pin = int(drains[-1]) + 1 if drains.size else 0
         try:
-            vec = splu(bordered).solve(rhs)[:-1]
-        except RuntimeError as exc:  # singular bordered system
-            raise DegenerateKernelError(f"bordered solve failed: {exc}") from exc
-        residual = np.abs(block @ vec).max()
-        if residual > 1e-9 * scale:
+            vec = _pinned_kernel(up, down, diag, pin)
+            peak = int(np.argmax(vec))
+            if peak != pin:
+                vec = _pinned_kernel(up, down, diag, peak)
+        except RuntimeError as exc:  # SuperLU: the pinned system is singular
+            raise DegenerateKernelError(f"pinned solve failed: {exc}") from exc
+        vec = vec / vec.sum()
+        residual = np.abs(_apply(up, diag, down, vec)).max()
+        if not residual <= 1e-9 * scale:  # a NaN residual fails too
             raise DegenerateKernelError(
                 f"kernel residual {residual:.3e} exceeds 1e-9 of the rate scale"
             )

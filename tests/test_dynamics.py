@@ -5,14 +5,17 @@ import pytest
 from scipy.linalg import expm
 
 from kickcool import (
+    DegenerateKernelError,
     EvolutionTrace,
     GeneratorMatrix,
     NonNormalizableError,
     ProtocolParams,
+    TruncationOverflowWarning,
     build_generator,
     build_kick_map,
     damping_propagator,
     default_n_max,
+    dynamics,
     evolve,
     evolve_stroboscopic,
     kick_fluctuation,
@@ -80,21 +83,24 @@ class TestGenerator:
         scale = np.abs(dense).max()
         np.testing.assert_allclose(dense, direct, atol=1e-12 * scale)
 
-    def test_pure_decay_relaxes_to_vacuum(self):
+    # n_max 30 runs the dense SVD, 700 the pinned tridiagonal LU
+    @pytest.mark.parametrize("n_max", [30, 700])
+    def test_pure_decay_relaxes_to_vacuum(self, n_max):
         params = ProtocolParams(
             g=G_REF, tau=1e-8, r_a=0.0, kappa=KAPPA_REF, n_th=0.0
         )
-        kick = build_kick_map(params.g, params.tau, 0.0, 30)
-        gen = build_generator(params, kick, 30)
+        kick = build_kick_map(params.g, params.tau, 0.0, n_max)
+        gen = build_generator(params, kick, n_max)
         result = steady_state_numeric(gen)
         assert result.populations.populations[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_undamped_full_swap_empties_into_vacuum(self):
+    @pytest.mark.parametrize("n_max", [30, 700])
+    def test_undamped_full_swap_empties_into_vacuum(self, n_max):
         params = ProtocolParams(
             g=G_REF, tau=(np.pi / 2) / G_REF, r_a=1e6, kappa=0.0, n_th=0.0
         )
-        kick = build_kick_map(params.g, params.tau, 0.0, 30)
-        gen = build_generator(params, kick, 30)
+        kick = build_kick_map(params.g, params.tau, 0.0, n_max)
+        gen = build_generator(params, kick, n_max)
         with pytest.warns(UserWarning):  # chain disconnects at the swap nodes
             result = steady_state_numeric(gen)
         assert result.populations.populations[0] == pytest.approx(1.0, abs=1e-12)
@@ -385,6 +391,83 @@ class TestSteadyStateNumeric:
             analytic.populations.populations,
             atol=1e-9,
         )
+
+
+class TestPinnedNullSpace:
+    """The null-space route above 600 levels: one pinned tridiagonal LU."""
+
+    def test_cut_above_six_hundred_levels(self):
+        # theta = pi/26 closes the (675, 676) swap: a 676-level ground block
+        params = ProtocolParams(
+            g=G_REF, tau=(np.pi / 26) / G_REF, r_a=1e6, kappa=0.0, n_th=0.0
+        )
+        kick = build_kick_map(params.g, params.tau, 0.0, 700)
+        with pytest.warns(UserWarning, match="above level 675"):
+            result = steady_state_numeric(build_generator(params, kick, 700))
+        assert result.populations.populations[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_max", [30, 700])
+    def test_upward_draining_chain_ends_at_the_top_level(self, n_max):
+        # no damping and an excited qubit: every kick moves population up, so
+        # level 0 holds no mass and cannot carry the pin
+        params = ProtocolParams(
+            g=G_REF, tau=1.0 / G_REF, r_a=1e6, kappa=0.0, n_th=0.0, p_e=1.0
+        )
+        kick = build_kick_map(params.g, params.tau, 1.0, n_max)
+        with pytest.warns(TruncationOverflowWarning):
+            result = steady_state_numeric(build_generator(params, kick, n_max))
+        assert result.populations.populations[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_repins_at_the_most_populated_level(self, monkeypatch):
+        # p_e between 1/2 and (n_th+1)/(2 n_th+1): the kicks heat the lowest
+        # levels, so the distribution peaks above level 0
+        params = make_params(50.0, 1000.0, 1.2, p_e=0.504)
+        n_max = default_n_max(params.n_th)
+        assert n_max > 600
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        analytic = steady_state_analytic(params, kick, n_max).populations.populations
+        assert analytic.argmax() != 0
+        solves = []
+        splu = dynamics.splu
+        monkeypatch.setattr(
+            dynamics, "splu", lambda matrix: solves.append(matrix) or splu(matrix)
+        )
+        numeric = steady_state_numeric(build_generator(params, kick, n_max))
+        assert len(solves) == 2
+        assert np.abs(numeric.populations.populations - analytic).max() < 1e-13
+
+    def test_singular_pinned_system_is_degenerate(self):
+        # level 300 cannot climb and level 500 cannot descend: 0..300 and
+        # 501..700 both keep their mass, so the kernel is two-dimensional;
+        # with unit rates the LU meets an exactly zero pivot
+        params, kick, _ = demo_setup(700)
+        up, down = np.ones(700), np.ones(700)
+        up[300] = 0.0
+        down[500] = 0.0
+        gen = GeneratorMatrix(up=up, down=down, params=params, kick=kick)
+        with pytest.raises(DegenerateKernelError):
+            steady_state_numeric(gen)
+
+    @pytest.mark.parametrize(
+        "n_th, limit", [(100.0, 4e6), (1000.0, 100e6)], ids=["n_max-4118", "n_max-40568"]
+    )
+    def test_memory_stays_linear(self, n_th, limit):
+        # one dense generator copy would be 136 MB at n_max 4118, 13.2 GB at 40568
+        params = make_params(n_th, 100.0, 1.2)
+        n_max = default_n_max(n_th)
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        gen = build_generator(params, kick, n_max)
+        tracemalloc.start()
+        try:
+            result = steady_state_numeric(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        analytic = steady_state_analytic(params, kick, n_max)
+        assert np.abs(
+            result.populations.populations - analytic.populations.populations
+        ).max() < 1e-12
 
 
 class TestSolverAgreement:

@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kickcool import (
@@ -32,10 +32,10 @@ thetas = st.floats(
 
 
 @st.composite
-def protocols(draw):
-    """n_th in 1e-2..10 (n_max <= 315), r_a/kappa in 1e-1..1e3, p_e below
-    the normalizability bound (n_th+1)/(2 n_th+1)."""
-    n_th = 10.0 ** draw(st.floats(-2.0, 1.0))
+def protocols(draw, max_n_th=10.0):
+    """n_th in 1e-2..max_n_th (n_max <= 315 at 10, 4118 at 1e2), r_a/kappa
+    in 1e-1..1e3, p_e below the normalizability bound (n_th+1)/(2 n_th+1)."""
+    n_th = 10.0 ** draw(st.floats(-2.0, math.log10(max_n_th)))
     ra_over_kappa = 10.0 ** draw(st.floats(-1.0, 3.0))
     bound = (n_th + 1.0) / (2.0 * n_th + 1.0)
     p_e = bound * draw(st.floats(0.0, 1.0, exclude_max=True))
@@ -49,7 +49,17 @@ def protocols(draw):
     )
 
 
-@given(protocols())
+def hot_bath(theta, p_e):
+    """n_th = 1e2, the top of the route-agreement range, at r_a/kappa 1e3."""
+    return ProtocolParams(
+        g=G, tau=theta / G, r_a=1e3 * KAPPA, kappa=KAPPA, n_th=1e2, p_e=p_e
+    )
+
+
+# few generated draws land near 1e2, so both ends of p_e are pinned there
+@example(hot_bath(1.2, 0.0))
+@example(hot_bath(2.0, 0.5024))  # just under the bound 101/201: peaks at level 1
+@given(protocols(max_n_th=1e2))
 def test_steady_state_routes_agree(params):
     n_max = default_n_max(params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
