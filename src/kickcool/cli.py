@@ -22,10 +22,11 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR
 # corrected_steady_state stays bound here, where bench/worker.py wraps it;
-# the sweep calls its tabulated form, corrections._corrected_from_coupling
+# the sweep runs the product formula itself, one block per (n_th, r_a/kappa)
 from .corrections import QubitEnvironment, corrected_steady_state
 from .device import DeviceParams, derive_protocol, duty_cycle_schedule
 from .dynamics import (
+    ANALYTIC_PRODUCT,
     build_generator,
     evolve,
     evolve_stroboscopic,
@@ -45,7 +46,7 @@ from .model import (
     default_n_max,
     thermal_distribution,
 )
-from . import corrections
+from . import corrections, dynamics
 
 MODES = ("evolve", "strobe", "steady", "sweep", "device")
 FORMATS = ("csv", "json")
@@ -72,6 +73,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (self.n_th_grid and self.ra_over_kappa and self.p_values):
             raise ConfigError("sweep needs at least one n_th, ra_over_kappa and p value")
+        if not all(n_th >= 0.0 for n_th in self.n_th_grid):
+            raise ConfigError("n_th values must be non-negative")
         if not all(ra >= 0.0 for ra in self.ra_over_kappa):
             raise ConfigError("ra_over_kappa values must be non-negative")
         if not all(0.0 <= p <= 1.0 for p in self.p_values):
@@ -444,49 +447,46 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     All points share the pulse area, and each tabulated weight depends on
     its own level only, so the table built at the largest n_max the grid
     needs, sliced to a point's n_max, equals that point's own tabulation
-    bitwise; so does the decayed coupling of fidelity runs.
+    bitwise; so does the decayed coupling of fidelity runs.  One product
+    pass per (n_th, r_a/kappa) yields a row for every p, which then takes
+    the tail steady_state_analytic or corrected_steady_state gives a point.
     """
-    params, sweep_spec = config.protocol, config.sweep
+    params, spec = config.protocol, config.sweep
     # hottest first: a bath too hot to size is reported before a cooler
     # point whose truncation is merely over the limit
-    n_maxes = {
-        n_th: _n_max(config, n_th)
-        for n_th in sorted(sweep_spec.n_th_grid, reverse=True)
-    }
+    n_maxes = {n_th: _n_max(config, n_th) for n_th in sorted(spec.n_th_grid, reverse=True)}
     table = build_kick_map(params.g, params.tau, 0.0, max(n_maxes.values()))
-    if sweep_spec.with_fidelity:
+    coupling = table.ce2
+    if spec.with_fidelity:
         gamma0 = corrections.relaxation_rate(config.env, config.env.omega0)
         coupling = corrections._decayed_coupling(params, gamma0, table)
+    # a protocol's validity warnings depend on r_a and tau only
+    ratios = [(ra, replace(params, r_a=ra * params.kappa).ra_over_kappa)
+              for ra in spec.ra_over_kappa]
+    p_col = np.array(spec.p_values)[:, None]
     rows = []
-    for n_th in sweep_spec.n_th_grid:
+    for n_th in spec.n_th_grid:
         n_max = n_maxes[n_th]
-        for ra_over_kappa in sweep_spec.ra_over_kappa:
-            for p_e in sweep_spec.p_values:
-                point = replace(
-                    params, n_th=n_th, r_a=ra_over_kappa * params.kappa, p_e=p_e
-                )
-                kick = KickMap(
-                    ce2=table.ce2[: n_max + 1],
-                    cg2=table.cg2[: n_max + 1],
-                    p_e=p_e,
-                    theta=table.theta,
-                )
-                if sweep_spec.with_fidelity:
-                    result = corrections._corrected_from_coupling(
-                        point, gamma0, kick, coupling[:n_max]
-                    )
-                else:
-                    result = steady_state_analytic(point, kick, n_max)
-                rows.append(
-                    (n_th, ra_over_kappa, p_e, result.mean_n_s, result.delta_n, result.p0_s)
-                )
+        kicks = [KickMap(table.ce2[: n_max + 1], table.cg2[: n_max + 1], p_e, table.theta)
+                 for p_e in spec.p_values]
+        ra = spec.ra_over_kappa[0]  # a bound failure is reported at the first r_a
+        try:
+            for p_e in spec.p_values:
+                dynamics._check_excitation_bound(n_th, p_e)
+            for ra, ratio in ratios:
+                block = dynamics._product_populations(n_th, ratio, coupling[:n_max], p_col)
+                for kick, pops in zip(kicks, block):
+                    r = dynamics._result_from_populations(pops, kick, ANALYTIC_PRODUCT)
+                    rows.append((n_th, ra, kick.p_e, r.mean_n_s, r.delta_n, r.p0_s))
+        except (NonNormalizableError, ValueError) as exc:
+            raise type(exc)(f"sweep point n_th={n_th}, r_a/kappa={ra}: {exc}") from exc
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     meta = {
         "g_rad_per_s": params.g,
         "tau_s": params.tau,
         "kappa_per_s": params.kappa,
         "pulse_area_rad": params.theta,
-        "with_fidelity": sweep_spec.with_fidelity,
+        "with_fidelity": spec.with_fidelity,
         "n_points": len(rows),
     }
     columns = ["n_th", "ra_over_kappa", "p", "mean_n_s", "delta_n", "p0_s"]

@@ -132,33 +132,26 @@ def corrected_steady_state(
     zero for alpha_g = 0.  With p = 0 and alpha_g = 0 this reproduces the
     ideal steady state bitwise.
     """
+    if params.kappa <= 0:
+        raise ValueError("the product formula needs kappa > 0")
+    _check_excitation_bound(params.n_th, params.p_e)
     gamma0 = relaxation_rate(env, env.omega0)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     coupling = _decayed_coupling(params, gamma0, kick)
-    return _corrected_from_coupling(params, gamma0, kick, coupling)
+    populations = _product_populations(
+        params.n_th, params.ra_over_kappa, coupling, params.p_e
+    )
+    return _result_from_populations(populations, kick, ANALYTIC_PRODUCT)
 
 
 def _decayed_coupling(
     params: ProtocolParams, gamma0: float, kick: KickMap
 ) -> np.ndarray:
-    """ce2[l-1]*F_{l-1} for l = 1..kick.n_max: the swap weights after kick decay."""
-    levels = np.arange(1, kick.n_max + 1, dtype=float)
-    return kick.ce2[:-1] * _fidelity_profile(gamma0, params.g, params.tau, levels)
+    """ce2[l-1]*F_{l-1} for l = 1..kick.n_max: the swap weights after kick decay.
 
-
-def _corrected_from_coupling(
-    params: ProtocolParams, gamma0: float, kick: KickMap, coupling: np.ndarray
-) -> SteadyStateResult:
-    """corrected_steady_state for a kick map and coupling ce2*F already tabulated.
-
-    kick spans levels 0..n_max and coupling the n_max swaps below the top,
-    both for params' pulse area and excitation probability; gamma0 is
-    Gamma(omega0) of the environment the coupling was built with.
+    Warns when Gamma(omega0)*tau is outside the first-order range; the sweep
+    calls this once per run on its kick table, so the warning fires once.
     """
-    if params.kappa <= 0:
-        raise ValueError("the product formula needs kappa > 0")
-    p_e = params.p_e
-    _check_excitation_bound(params.n_th, p_e)
     if gamma0 * params.tau > 0.1:
         warnings.warn(
             f"Gamma(omega0)*tau = {gamma0 * params.tau:.3g} > 0.1: fidelity "
@@ -166,10 +159,8 @@ def _corrected_from_coupling(
             ValidityWarning,
             stacklevel=3,
         )
-    populations = _product_populations(
-        params.n_th, params.ra_over_kappa, coupling, p_e
-    )
-    return _result_from_populations(populations, kick, ANALYTIC_PRODUCT)
+    levels = np.arange(1, kick.n_max + 1, dtype=float)
+    return kick.ce2[:-1] * _fidelity_profile(gamma0, params.g, params.tau, levels)
 
 
 def cooling_floor(params: ProtocolParams, env: QubitEnvironment) -> float:

@@ -373,7 +373,7 @@ def kick_fluctuation(dist: PhononDistribution, kick: KickMap) -> float:
 
 
 def _product_populations(
-    n_th: float, ra_over_kappa: float, coupling: np.ndarray, p_e: float
+    n_th: float, ra_over_kappa: float, coupling: np.ndarray, p_e: float | np.ndarray
 ) -> np.ndarray:
     """Detailed-balance product solution of the kick-plus-damping chain.
 
@@ -384,22 +384,39 @@ def _product_populations(
 
     with R = r_a/kappa.  Accumulated in log space so strongly peaked or
     strongly decaying products neither overflow nor underflow.
+
+    A scalar p_e gives one distribution over levels 0..n_max.  A column
+    p_e of shape (k, 1) gives k of them as rows of a (k, n_max+1) array;
+    every step is elementwise or runs along the last axis, so each row is
+    bitwise the distribution its p_e gives as a scalar.
     """
-    n_max = coupling.size
-    levels = np.arange(1, n_max + 1, dtype=float)
-    num = n_th * levels + p_e * coupling * ra_over_kappa
-    den = (n_th + 1.0) * levels + (1.0 - p_e) * coupling * ra_over_kappa
-    if num[-1] >= den[-1]:
+    levels = np.arange(1, coupling.size + 1, dtype=float)
+    num = np.multiply(p_e, coupling)
+    num *= ra_over_kappa
+    num += n_th * levels
+    den = np.multiply(1.0 - p_e, coupling)
+    den *= ra_over_kappa
+    den += (n_th + 1.0) * levels
+    growing = np.flatnonzero(num[..., -1] >= den[..., -1])
+    if growing.size:
         raise NonNormalizableError(
-            "population ratio has not fallen below 1 at the truncation; "
-            "no normalizable steady state on this grid"
+            "population ratio has not fallen below 1 at the truncation for "
+            f"p_e={np.ravel(p_e)[growing[0]]}; no normalizable steady state "
+            "on this grid"
         )
+    # in place, so that at most two blocks of the size of p are alive
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(num) - np.log(den)
-    log_p = np.concatenate(([0.0], np.cumsum(log_ratio)))
-    log_p -= log_p.max()
-    p = np.exp(log_p)
-    return p / p.sum()
+        np.log(num, out=num)
+        np.log(den, out=den)
+    num -= den
+    del den
+    p = np.zeros(num.shape[:-1] + (num.shape[-1] + 1,))
+    np.cumsum(num, axis=-1, out=p[..., 1:])
+    del num
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def _result_from_populations(
@@ -419,7 +436,7 @@ def _check_excitation_bound(n_th: float, p_e: float) -> None:
     bound = (n_th + 1.0) / (2.0 * n_th + 1.0)
     if p_e >= bound:
         raise NonNormalizableError(
-            f"excited-state probability {p_e} is not below the normalizability "
+            f"excited-state probability p_e={p_e} is not below the normalizability "
             f"bound {bound:.6g} at n_th={n_th}"
         )
 

@@ -83,6 +83,9 @@ class KickMap:
     cg2[n] = cos^2(theta*sqrt(n)) is the survival weight of level n under a
     ground-state qubit.  p_e is the probability that the qubit enters the
     kick excited, which runs the same swap upward (phonon emission).
+
+    The weights are stored read-only: a writable input is copied, while a
+    read-only float array, such as a slice of another map's table, is kept.
     """
 
     ce2: np.ndarray
@@ -92,8 +95,10 @@ class KickMap:
 
     def __post_init__(self) -> None:
         for name in ("ce2", "cg2"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.ce2.shape != self.cg2.shape:
             raise ValueError("ce2 and cg2 must have equal length")

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +16,12 @@ from kickcool.cli import (
     MAX_LEVELS,
     PRESETS,
     ConfigError,
+    RunConfig,
+    SweepSpec,
     build_parser,
     config_from_args,
     main,
+    run,
 )
 
 CONFIG_TEMPLATE = """
@@ -221,6 +226,70 @@ class TestSweepMode:
                 result.delta_n,
                 result.p0_s,
             )
+
+    @pytest.mark.filterwarnings("ignore::kickcool.TruncationOverflowWarning")
+    @pytest.mark.parametrize(
+        "p_excited, n_th_index, ra_over_kappa, cause",
+        [
+            # p_e = 0.9 is below the bound 0.917 at n_th = 0.1, but the
+            # excited-qubit swaps outrun damping at the truncation
+            ("0.9", 0, 1000.0, "has not fallen below 1"),
+            # the bound 0.917 at n_th = 0.1 holds for every r_a/kappa; the
+            # first is named
+            ("0.95", 0, 100.0, "normalizability bound"),
+        ],
+    )
+    def test_numerical_failure_names_the_sweep_point(
+        self, tmp_path, capsys, p_excited, n_th_index, ra_over_kappa, cause
+    ):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("p_excited = 0", f"p_excited = 0, {p_excited}"))
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--config", str(cfg), "--output", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        n_th = config_from_args(build_parser().parse_args(argv)).sweep.n_th_grid[n_th_index]
+        assert len(err.splitlines()) == 1
+        assert f"n_th={n_th}," in err
+        assert f"r_a/kappa={ra_over_kappa}:" in err
+        assert f"p_e={p_excited}" in err
+        assert cause in err
+        assert not out.exists()
+
+    def test_negative_n_th_is_config_error(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            SweepSpec(n_th_grid=(1.0, -1.0), ra_over_kappa=(100.0,), p_values=(0.0,))
+
+    def test_fidelity_validity_warning_fires_once_per_run(self, tmp_path):
+        # alpha_g = 2e-3 puts Gamma(omega0)*tau near 0.26, outside first order
+        fig3 = PRESETS["fig3"]()
+        config = RunConfig(
+            mode="sweep",
+            output=str(tmp_path / "s.csv"),
+            protocol=fig3["protocol"],
+            env=replace(fig3["env"], alpha_g=2e-3),
+            sweep=replace(fig3["sweep"], n_th_grid=(0.1, 1.0), with_fidelity=True),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(config) == 0
+        fidelity = [w for w in caught if "Gamma(omega0)*tau" in str(w.message)]
+        assert len(fidelity) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--with-fidelity"]])
+    def test_fig3_sweep_peak_memory(self, tmp_path, flags):
+        # one (len(p), n_max+1) product block at a time reads 4.6 / 4.9 MB
+        # here; one block over all six points of an n_th reads 7.2 / 7.5 MB,
+        # since at n_th = 1e3 (40569 levels) each such block holds 1.9 MB
+        argv = ["sweep", "--preset", "fig3", "--output", str(tmp_path / "s.csv"), *flags]
+        assert main(argv) == 0  # imports and first-call caches before tracing
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestDeviceMode:

@@ -53,6 +53,14 @@ class TestKickMap:
         with pytest.raises(ValueError):
             build_kick_map(g=1.0, tau=1.0, p_e=0.0, n_max=0)
 
+    def test_weights_are_frozen_and_table_slices_shared(self):
+        ce2, cg2 = np.full(6, 0.5), np.full(6, 0.5)
+        kick = KickMap(ce2=ce2, cg2=cg2, p_e=0.0, theta=1.0)
+        ce2[0] = 0.0  # a writable input is copied
+        assert kick.ce2[0] == 0.5 and not kick.ce2.flags.writeable
+        view = KickMap(ce2=kick.ce2[:4], cg2=kick.cg2[:4], p_e=0.1, theta=1.0)
+        assert np.shares_memory(view.ce2, kick.ce2) and view.n_max == 3
+
 
 class TestApplyKick:
     def test_single_phonon_swap_to_vacuum(self):

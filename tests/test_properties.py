@@ -1,8 +1,10 @@
 """Model invariants checked on generated protocol parameters."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -10,9 +12,12 @@ from kickcool import (
     NonNormalizableError,
     PhononDistribution,
     ProtocolParams,
+    QubitEnvironment,
+    TruncationOverflowWarning,
     apply_kick,
     build_generator,
     build_kick_map,
+    corrected_steady_state,
     damping_propagator,
     default_n_max,
     kick_oracle,
@@ -21,6 +26,7 @@ from kickcool import (
     steady_state_longtime,
     steady_state_numeric,
 )
+from kickcool.cli import RunConfig, SweepSpec, _run_sweep
 from kickcool.corrections import _decayed_coupling, _fidelity_profile
 
 G = 2 * math.pi * 1e7
@@ -132,6 +138,8 @@ def test_generator_is_a_markov_generator(params, n_max, p_e, n_th):
     assert off_diagonal.min() >= 0.0
 
 
+# gamma0 up to 1e7 reaches past the first-order range, which warns
+@pytest.mark.filterwarnings("ignore::kickcool.ValidityWarning")
 @given(
     thetas,
     st.integers(2, 5000).flatmap(lambda top: st.tuples(st.integers(1, top - 1), st.just(top))),
@@ -152,3 +160,81 @@ def test_sliced_tabulation_equals_fresh_tabulation_bitwise(theta, sizes, gamma0)
     assert profile[:n_max].tobytes() == fresh_profile.tobytes()
     coupling = _decayed_coupling(params, gamma0, table)
     assert coupling[:n_max].tobytes() == _decayed_coupling(params, gamma0, fresh).tobytes()
+
+
+@st.composite
+def sweeps(draw):
+    """A small sweep grid: 1-4 n_th in 1e-2..10, r_a/kappa in 0..1e3, p
+    below the bound at the hottest n_th, with or without the fidelity
+    correction.  Every n_th below about 1.7 gets the 60-level floor, so
+    half the draws come from 2..10, where the truncation grows from 90 to
+    315 levels."""
+    exponents = st.one_of(st.floats(-2.0, 1.0), st.floats(0.3, 1.0))
+    n_th_grid = tuple(10.0**x for x in draw(st.lists(exponents, min_size=1, max_size=4)))
+    bound = (max(n_th_grid) + 1.0) / (2.0 * max(n_th_grid) + 1.0)
+    fractions = st.floats(0.0, 1.0, exclude_max=True)
+    return SweepSpec(
+        n_th_grid=n_th_grid,
+        ra_over_kappa=tuple(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=2))),
+        p_values=tuple(bound * f for f in draw(st.lists(fractions, min_size=1, max_size=3))),
+        with_fidelity=draw(st.booleans()),
+    )
+
+
+# p_e = 0.9 at n_th = 0.1 has no steady state at r_a/kappa 1e3: both fail
+@example(math.pi / 2, SweepSpec((0.1, 5.0), (1e2, 1e3), (0.0, 0.9)), 0.0)
+@given(thetas, sweeps(), st.floats(0.0, 1e-3))
+def test_sweep_rows_equal_per_point_library_calls_bitwise(theta, spec, alpha_g):
+    params = ProtocolParams(g=G, tau=theta / G, r_a=KAPPA, kappa=KAPPA, n_th=1.0)
+    env = QubitEnvironment(alpha_g=alpha_g, temperature=0.01, e_j=1e-23, omega0=2e8 * math.pi)
+    config = RunConfig(mode="sweep", output="", protocol=params, env=env, sweep=spec)
+    expected = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n_th in spec.n_th_grid:
+            n_max = default_n_max(n_th)
+            for ra_over_kappa in spec.ra_over_kappa:
+                for p_e in spec.p_values:
+                    point = replace(params, n_th=n_th, r_a=ra_over_kappa * KAPPA, p_e=p_e)
+                    try:
+                        if spec.with_fidelity:
+                            result = corrected_steady_state(point, env, n_max)
+                        else:
+                            kick = build_kick_map(point.g, point.tau, p_e, n_max)
+                            result = steady_state_analytic(point, kick, n_max)
+                    except NonNormalizableError:
+                        # some point has no steady state: the sweep must fail too
+                        with pytest.raises(NonNormalizableError):
+                            _run_sweep(config)
+                        return
+                    expected.append(
+                        (n_th, ra_over_kappa, p_e, result.mean_n_s, result.delta_n, result.p0_s)
+                    )
+        rows = _run_sweep(config)[2]
+    expected.sort(key=lambda row: row[:3])  # stable, as the sweep sorts its rows
+    assert rows == expected
+
+
+@given(
+    protocols(),
+    st.integers(1, 60).flatmap(
+        lambda n_max: st.lists(st.floats(0.0, 1.0), min_size=n_max + 1, max_size=n_max + 1)
+    ),
+)
+def test_one_period_conserves_probability(params, weights):
+    # free damping for 1/r_a, then a kick; a renormalising kick warns, and
+    # the warning fails the test
+    assume(sum(weights) > 0.0)
+    populations = np.array(weights) / sum(weights)
+    n_max = populations.size - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the excited-qubit branch may legitimately reach the top level
+        warnings.simplefilter("ignore", TruncationOverflowWarning)
+        damped = damping_propagator(params, n_max, 1.0 / params.r_a) @ populations
+        assert damped.min() >= -1e-12
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        kicked = apply_kick(PhononDistribution(damped, check_tail=False), kick).populations
+    assert abs(kicked.sum() - 1.0) <= 1e-12
+    assert abs(damped.sum() - 1.0) <= 1e-12
+    assert kicked.min() >= -1e-12
