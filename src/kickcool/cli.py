@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +28,6 @@ from .constants import E_CHARGE, HBAR
 from .corrections import QubitEnvironment, corrected_steady_state
 from .device import DeviceParams, derive_protocol, duty_cycle_schedule
 from .dynamics import (
-    ANALYTIC_PRODUCT,
     build_generator,
     evolve,
     evolve_stroboscopic,
@@ -42,6 +43,7 @@ from .errors import (
 from .model import (
     KickMap,
     ProtocolParams,
+    _check_populations,
     build_kick_map,
     default_n_max,
     thermal_distribution,
@@ -55,6 +57,15 @@ MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
 # where the O(n_max) paths hold tens of MB; beyond it a run fails to allocate
 # (n_th = 1e15 asks for 4e16 levels)
 MAX_LEVELS = 10**6
+# what a run reports as a numerical failure (exit 3)
+NUMERICAL_ERRORS = (
+    NonNormalizableError,
+    DegenerateKernelError,
+    ConvergenceError,
+    DiagonalClosureError,
+    ValueError,
+    FloatingPointError,
+)
 
 
 class ConfigError(Exception):
@@ -386,6 +397,15 @@ def _n_max(config: RunConfig, n_th: float) -> int:
     return n_max
 
 
+@contextmanager
+def _stage(mode: str, stage: str):
+    """Re-raise a numerical failure with the mode and stage it came from."""
+    try:
+        yield
+    except NUMERICAL_ERRORS as exc:
+        raise type(exc)(f"{mode} ({stage}): {exc}") from exc
+
+
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
@@ -394,7 +414,8 @@ def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     initial = thermal_distribution(params.n_th, n_max)
     t_end = config.t_end_ra / params.r_a
     times = np.linspace(0.0, t_end, config.samples)
-    trace = evolve(initial, gen, t_end, sample_times=times)
+    with _stage("evolve", "integration"):
+        trace = evolve(initial, gen, t_end, sample_times=times)
     rows = [
         (float(t * params.r_a), float(m), float(p))
         for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
@@ -407,7 +428,8 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     initial = thermal_distribution(params.n_th, n_max)
-    trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
+    with _stage("strobe", "damping and kicks"):
+        trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
     rows = [
         (float(t * params.r_a), float(m), float(p))
         for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
@@ -421,8 +443,10 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
-    analytic = steady_state_analytic(params, kick, n_max)
-    numeric = steady_state_numeric(build_generator(params, kick, n_max))
+    with _stage("steady", "analytic route"):
+        analytic = steady_state_analytic(params, kick, n_max)
+    with _stage("steady", "null-space route"):
+        numeric = steady_state_numeric(build_generator(params, kick, n_max))
     rows = [
         (n, float(pa), float(pn))
         for n, (pa, pn) in enumerate(
@@ -445,17 +469,23 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     """Every grid point by the product formula, from one kick tabulation.
 
     All points share the pulse area, and each tabulated weight depends on
-    its own level only, so the table built at the largest n_max the grid
-    needs, sliced to a point's n_max, equals that point's own tabulation
-    bitwise; so does the decayed coupling of fidelity runs.  One product
-    pass per (n_th, r_a/kappa) yields a row for every p, which then takes
-    the tail steady_state_analytic or corrected_steady_state gives a point.
+    its own level only, so the tables built at the largest n_max the grid
+    needs (ce2, cg2, 1 - ce2 and the levels 0..n_max), sliced to a point's
+    n_max, equal that point's own tabulation bitwise; so does the decayed
+    coupling of fidelity runs.  One product pass per (n_th, r_a/kappa)
+    yields a block with a row for every p.  The block goes through the
+    PhononDistribution checks once, and each row through the summary that
+    steady_state_analytic or corrected_steady_state gives a point, so every
+    row is bitwise that point's library result.
     """
     params, spec = config.protocol, config.sweep
     # hottest first: a bath too hot to size is reported before a cooler
     # point whose truncation is merely over the limit
     n_maxes = {n_th: _n_max(config, n_th) for n_th in sorted(spec.n_th_grid, reverse=True)}
-    table = build_kick_map(params.g, params.tau, 0.0, max(n_maxes.values()))
+    top = max(n_maxes.values())
+    table = build_kick_map(params.g, params.tau, 0.0, top)
+    survival = 1.0 - table.ce2
+    levels = np.arange(top + 1, dtype=float)
     coupling = table.ce2
     if spec.with_fidelity:
         gamma0 = corrections.relaxation_rate(config.env, config.env.omega0)
@@ -475,9 +505,12 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
                 dynamics._check_excitation_bound(n_th, p_e)
             for ra, ratio in ratios:
                 block = dynamics._product_populations(n_th, ratio, coupling[:n_max], p_col)
+                _check_populations(block)
                 for kick, pops in zip(kicks, block):
-                    r = dynamics._result_from_populations(pops, kick, ANALYTIC_PRODUCT)
-                    rows.append((n_th, ra, kick.p_e, r.mean_n_s, r.delta_n, r.p0_s))
+                    mean_n_s, delta_n = dynamics._row_summary(
+                        pops, kick, levels[: n_max + 1], survival[: n_max + 1]
+                    )
+                    rows.append((n_th, ra, kick.p_e, mean_n_s, delta_n, float(pops[0])))
         except (NonNormalizableError, ValueError) as exc:
             raise type(exc)(f"sweep point n_th={n_th}, r_a/kappa={ra}: {exc}") from exc
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
@@ -548,14 +581,7 @@ def run(config: RunConfig) -> int:
     except ConfigError as exc:
         print(f"kickcool: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NonNormalizableError,
-        DegenerateKernelError,
-        ConvergenceError,
-        DiagonalClosureError,
-        ValueError,
-        FloatingPointError,
-    ) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"kickcool: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -568,7 +594,9 @@ def run(config: RunConfig) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="kickcool",
         description="Simulate cooling of a damped bosonic mode by periodic qubit kicks",

@@ -13,6 +13,7 @@ product formula, a direct null-space solve, and long-time integration.
 from __future__ import annotations
 
 import importlib
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +33,6 @@ from .model import (
     _kick_vector,
     build_kick_map,
     default_n_max,
-    mean_phonon,
     thermal_distribution,
 )
 
@@ -175,13 +175,29 @@ class EvolutionTrace:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Steady state populations plus the headline cooling diagnostics."""
+    """Steady state populations plus the headline cooling diagnostics.
+
+    method names the route (ANALYTIC_PRODUCT, NULL_SPACE or LONG_TIME); the
+    three diagnostics are finite, and p0_s is the ground-level population.
+    """
 
     populations: PhononDistribution
     mean_n_s: float
     delta_n: float
     p0_s: float
     method: str
+
+    def __post_init__(self) -> None:
+        if self.method not in (ANALYTIC_PRODUCT, NULL_SPACE, LONG_TIME):
+            raise ValueError(f"unknown steady-state method {self.method!r}")
+        for name in ("mean_n_s", "delta_n", "p0_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} is not finite")
+        if self.p0_s != self.populations.p0:
+            raise ValueError(
+                f"p0_s {self.p0_s!r} differs from the ground-level population "
+                f"{self.populations.p0!r}"
+            )
 
 
 def build_generator(
@@ -368,8 +384,20 @@ def kick_fluctuation(dist: PhononDistribution, kick: KickMap) -> float:
     p = dist.populations
     if kick.n_max != dist.n_max:
         raise ValueError("kick and distribution sizes differ")
-    n = np.arange(p.size, dtype=float)
-    return float(n @ p - n @ _kick_vector(p, kick))
+    return _row_summary(p, kick, np.arange(p.size, dtype=float))[1]
+
+
+def _row_summary(
+    p: np.ndarray, kick: KickMap, levels: np.ndarray, survival: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Mean phonon number of p and the mean one kick removes from it.
+
+    levels is 0..n_max as floats.  One n.p dot serves both numbers: as a
+    float it equals mean_phonon's integer-weighted dot bitwise, and the
+    difference is kick_fluctuation.  survival is 1 - kick.ce2 if tabulated.
+    """
+    mean = levels @ p
+    return float(mean), float(mean - levels @ _kick_vector(p, kick, survival))
 
 
 def _product_populations(
@@ -422,11 +450,18 @@ def _product_populations(
 def _result_from_populations(
     p: np.ndarray, kick: KickMap, method: str
 ) -> SteadyStateResult:
+    """Check p as a PhononDistribution and summarise it by _row_summary.
+
+    Every steady-state route ends here; the sweep applies the same check and
+    the same summary to its rows without building a result per row.
+    """
     dist = PhononDistribution(p)
+    levels = np.arange(dist.populations.size, dtype=float)
+    mean_n_s, delta_n = _row_summary(dist.populations, kick, levels)
     return SteadyStateResult(
         populations=dist,
-        mean_n_s=mean_phonon(dist),
-        delta_n=kick_fluctuation(dist, kick),
+        mean_n_s=mean_n_s,
+        delta_n=delta_n,
         p0_s=dist.p0,
         method=method,
     )

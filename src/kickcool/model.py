@@ -24,15 +24,63 @@ NEG_CLAMP = -1e-12
 SUM_TOL = 1e-9
 
 
+def _check_populations(
+    p: np.ndarray, check_tail: bool = True, stacklevel: int = 2
+) -> np.ndarray:
+    """Apply the population invariants to every vector along the last axis of p.
+
+    Entries in (-1e-12, 0) are rounding noise: a vector holding one is
+    clamped to zero and renormalised, in place.  A non-finite entry, an
+    entry more negative than that, or a vector that does not sum to 1
+    within 1e-9 (such as one of rounding noise alone) raises ValueError.
+    With check_tail, every vector whose top level holds more than TAIL_TOL
+    warns once.  Every reduction runs along the last axis, so a vector of a
+    block passes or fails, and comes out, exactly as it would on its own.
+    Returns p.
+    """
+    if not np.isfinite(p).all():
+        raise ValueError("populations contain non-finite entries")
+    lowest = p.min(axis=-1)
+    worst = lowest.min()
+    if worst < NEG_CLAMP:
+        raise ValueError(
+            f"population entry {worst:.3e} is below the clamp threshold "
+            f"{NEG_CLAMP:.0e}; this signals a bug, not rounding"
+        )
+    if worst < 0.0:
+        noisy = lowest < 0.0
+        clamped = np.maximum(p[noisy], 0.0)
+        with np.errstate(invalid="ignore"):  # a vector of noise alone sums to 0
+            clamped /= clamped.sum(axis=-1, keepdims=True)
+        p[noisy] = clamped
+    total = p.sum(axis=-1)
+    off = ~(abs(total - 1.0) <= SUM_TOL)  # a NaN sum is off too
+    if off.any():
+        first = np.ravel(total)[np.argmax(off)]
+        raise ValueError(f"populations sum to {first!r}, not 1 within {SUM_TOL:.0e}")
+    if check_tail:
+        for top in np.ravel(p[..., -1]):
+            if top > TAIL_TOL:
+                warnings.warn(
+                    f"top-level population {top:.3e} exceeds tail tolerance "
+                    f"{TAIL_TOL:.0e}; increase n_max",
+                    TruncationOverflowWarning,
+                    stacklevel=stacklevel + 1,
+                )
+    return p
+
+
 @dataclass(frozen=True)
 class PhononDistribution:
     """Probability distribution over phonon number states 0..n_max.
 
-    Entries in (-1e-12, 0) are treated as rounding noise: they are clamped
-    to zero and the vector is renormalized.  Anything more negative raises,
-    since that signals a bug rather than floating-point dust.  A tail entry
-    at the top level above TAIL_TOL triggers a truncation warning unless
-    the producing operation already reported it.
+    The vector is copied and checked by _check_populations, the rules the
+    sweep applies to a whole block of rows at once: entries in (-1e-12, 0)
+    are treated as rounding noise, clamped to zero and the vector
+    renormalized; anything more negative raises, since that signals a bug
+    rather than floating-point dust.  A tail entry at the top level above
+    TAIL_TOL triggers a truncation warning unless the producing operation
+    already reported it.
     """
 
     populations: np.ndarray
@@ -42,27 +90,7 @@ class PhononDistribution:
         p = np.array(self.populations, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("populations must be a 1-d vector of length >= 2")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("populations contain non-finite entries")
-        lowest = p.min()
-        if lowest < NEG_CLAMP:
-            raise ValueError(
-                f"population entry {lowest:.3e} is below the clamp threshold "
-                f"{NEG_CLAMP:.0e}; this signals a bug, not rounding"
-            )
-        if lowest < 0.0:
-            p = np.maximum(p, 0.0)
-            p /= p.sum()
-        total = p.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"populations sum to {total!r}, not 1 within {SUM_TOL:.0e}")
-        if check_tail and p[-1] > TAIL_TOL:
-            warnings.warn(
-                f"top-level population {p[-1]:.3e} exceeds tail tolerance "
-                f"{TAIL_TOL:.0e}; increase n_max",
-                TruncationOverflowWarning,
-                stacklevel=3,
-            )
+        _check_populations(p, check_tail, stacklevel=3)
         p.setflags(write=False)
         object.__setattr__(self, "populations", p)
 
@@ -180,18 +208,28 @@ def build_kick_map(g: float, tau: float, p_e: float, n_max: int) -> KickMap:
     return KickMap(ce2=ce2, cg2=cg2, p_e=float(p_e), theta=theta)
 
 
-def _kick_vector(p: np.ndarray, kick: KickMap) -> np.ndarray:
-    """Apply one kick to a raw population vector (no validation)."""
+def _kick_vector(
+    p: np.ndarray, kick: KickMap, survival: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply one kick to a raw population vector (no validation).
+
+    survival is 1 - kick.ce2 when the caller has it tabulated already; it is
+    computed here otherwise.
+    """
     down = kick.cg2 * p
     down[:-1] += kick.ce2[:-1] * p[1:]
     if kick.p_e == 0.0:
         return down
     # excited branch: survival cos^2(theta*sqrt(n+1)) = 1 - ce2[n]; the top
     # level has no partner above and is left untouched (reflecting edge).
-    up = (1.0 - kick.ce2) * p
+    up = (1.0 - kick.ce2 if survival is None else survival) * p
     up[-1] = p[-1]
     up[1:] += kick.ce2[:-1] * p[:-1]
-    return (1.0 - kick.p_e) * down + kick.p_e * up
+    # in place, the same floats as (1 - p_e) * down + p_e * up
+    down *= 1.0 - kick.p_e
+    up *= kick.p_e
+    down += up
+    return down
 
 
 def apply_kick(dist: PhononDistribution, kick: KickMap) -> PhononDistribution:

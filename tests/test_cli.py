@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from kickcool import (
+    ConvergenceError,
     build_kick_map,
+    cli,
     corrected_steady_state,
     default_n_max,
     steady_state_analytic,
@@ -278,9 +280,10 @@ class TestSweepMode:
 
     @pytest.mark.parametrize("flags", [[], ["--with-fidelity"]])
     def test_fig3_sweep_peak_memory(self, tmp_path, flags):
-        # one (len(p), n_max+1) product block at a time reads 4.6 / 4.9 MB
-        # here; one block over all six points of an n_th reads 7.2 / 7.5 MB,
-        # since at n_th = 1e3 (40569 levels) each such block holds 1.9 MB
+        # one (len(p), n_max+1) product block at a time, plus the run-wide
+        # level and 1 - ce2 tables (0.3 MB each), reads 4.9 / 5.2 MB here;
+        # one block over all six points of an n_th read 7.2 / 7.5 MB, since
+        # at n_th = 1e3 (40569 levels) each such block holds 1.9 MB
         argv = ["sweep", "--preset", "fig3", "--output", str(tmp_path / "s.csv"), *flags]
         assert main(argv) == 0  # imports and first-call caches before tracing
         tracemalloc.start()
@@ -344,7 +347,7 @@ class TestErrorPaths:
         )
         assert code == 0
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             CONFIG_TEMPLATE.replace("p_e = 0.0", "p_e = 0.9").replace(
@@ -353,6 +356,36 @@ class TestErrorPaths:
         )
         out = tmp_path / "x.csv"
         assert main(["steady", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kickcool: numerical failure: steady (analytic route): ")
+        assert "normalizability bound" in err[0]
+
+    @pytest.mark.parametrize(
+        "mode, solver, stage",
+        [
+            ("evolve", "evolve", "evolve (integration)"),
+            ("strobe", "evolve_stroboscopic", "strobe (damping and kicks)"),
+            ("steady", "steady_state_numeric", "steady (null-space route)"),
+        ],
+    )
+    def test_numerical_failure_names_mode_and_stage(
+        self, tmp_path, capsys, monkeypatch, mode, solver, stage
+    ):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("solver gave up")
+
+        monkeypatch.setattr(cli, solver, fail)
+        out = tmp_path / "x.csv"
+        assert main([mode, "--preset", "fig2", "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"kickcool: numerical failure: {stage}: solver gave up"]
+        assert not out.exists()
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+        assert main(["evolve", "--no-such-flag"]) == 2
+        assert build_parser().parse_args(["steady", "--preset", "fig2"]).preset == "fig2"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -367,6 +368,28 @@ class TestSteadyStateAnalytic:
         kick = build_kick_map(params.g, params.tau, 0.0, kick_n_max)
         with pytest.raises(ValueError, match=f"kick sized for n_max={kick_n_max}"):
             steady_state_analytic(params, kick, 60)
+
+
+class TestSteadyStateResult:
+    @staticmethod
+    def result():
+        params = make_params(1.0, 100.0, np.pi / 2.0)
+        return steady_state_analytic(params, build_kick_map(params.g, params.tau, 0.0, 60), 60)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown steady-state method"):
+            replace(self.result(), method="guess")
+
+    @pytest.mark.parametrize("name", ["mean_n_s", "delta_n", "p0_s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_diagnostic_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} is not finite"):
+            replace(self.result(), **{name: value})
+
+    def test_p0_must_be_the_ground_population(self):
+        result = self.result()
+        with pytest.raises(ValueError, match="ground-level population"):
+            replace(result, p0_s=np.nextafter(result.p0_s, 1.0))
 
 
 class TestSteadyStateNumeric:

@@ -16,6 +16,7 @@ from kickcool import (
     number_state,
     thermal_distribution,
 )
+from kickcool.model import TAIL_TOL, _check_populations
 
 from kick_reference import kick_matrix
 
@@ -192,6 +193,87 @@ class TestPhononDistribution:
         dist = thermal_distribution(0.5, 30)
         with pytest.raises(ValueError):
             dist.populations[0] = 0.0
+
+
+class TestBlockCheck:
+    """The sweep's block check applies PhononDistribution's rules row by row."""
+
+    @staticmethod
+    def block():
+        # four rows over levels 0..5 whose top entries sit far below TAIL_TOL
+        rows = np.array([[(1e-3 / (k + 1)) ** n for n in range(6)] for k in range(4)])
+        return rows / rows.sum(axis=-1, keepdims=True)
+
+    def test_valid_block_is_left_as_is(self):
+        block = self.block()
+        expected = block.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_populations(block) is block
+        assert block.tobytes() == expected.tobytes()
+
+    def test_nan_row_raises(self):
+        block = self.block()
+        block[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_populations(block)
+        with pytest.raises(ValueError, match="non-finite"):
+            PhononDistribution(block[2])
+
+    def test_rounding_noise_is_clamped_and_renormalised(self):
+        block = self.block()
+        block[1, 4] = -1e-13
+        before = block.copy()
+        _check_populations(block)
+        clamped = np.maximum(before[1], 0.0)
+        clamped /= clamped.sum()
+        assert block[1, 4] == 0.0
+        assert block[1].tobytes() == clamped.tobytes()
+        assert block[1].tobytes() == PhononDistribution(before[1]).populations.tobytes()
+        others = [0, 2, 3]
+        assert block[others].tobytes() == before[others].tobytes()
+
+    def test_negative_beyond_the_clamp_raises(self):
+        block = self.block()
+        block[3, 2] = -1e-11
+        with pytest.raises(ValueError, match="below the clamp threshold"):
+            _check_populations(block)
+        with pytest.raises(ValueError, match="below the clamp threshold"):
+            PhononDistribution(block[3])
+
+    def test_sum_off_by_two_in_a_billion_raises(self):
+        block = self.block()
+        block[0] *= 1.0 + 2e-9
+        with pytest.raises(ValueError, match="sum to"):
+            _check_populations(block)
+        with pytest.raises(ValueError, match="sum to"):
+            PhononDistribution(block[0])
+
+    def test_row_of_rounding_noise_alone_raises(self):
+        # clamping leaves nothing to renormalise: 0/0 must not pass as a sum
+        block = self.block()
+        noise = np.array([0.0, -1e-13, 0.0, 0.0, -2e-13, 0.0])
+        block[2] = noise
+        with pytest.raises(ValueError, match=r"sum to .*nan"):
+            _check_populations(block)
+        with pytest.raises(ValueError, match=r"sum to .*nan"):
+            PhononDistribution(noise)
+
+    def test_tail_warns_once_per_row(self):
+        block = self.block()
+        block[[0, 2]] = np.full(6, 1.0 / 6.0)
+        assert block[1, -1] < TAIL_TOL and block[3, -1] < TAIL_TOL
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _check_populations(block)
+        assert [w.category for w in caught] == [TruncationOverflowWarning] * 2
+        for k in range(4):
+            with warnings.catch_warnings(record=True) as row_caught:
+                warnings.simplefilter("always")
+                PhononDistribution(block[k])
+            assert len(row_caught) == (1 if k in (0, 2) else 0)
+            if row_caught:
+                assert str(row_caught[0].message) == str(caught[k // 2].message)
 
 
 class TestProtocolParams:
