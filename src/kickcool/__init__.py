@@ -31,7 +31,6 @@ from .dynamics import (
     evolve,
     evolve_stroboscopic,
     kick_fluctuation,
-    steady_state,
     steady_state_analytic,
     steady_state_longtime,
     steady_state_numeric,
@@ -99,7 +98,6 @@ __all__ = [
     "mean_phonon",
     "number_state",
     "relaxation_rate",
-    "steady_state",
     "steady_state_analytic",
     "steady_state_longtime",
     "steady_state_numeric",

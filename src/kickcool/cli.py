@@ -57,6 +57,10 @@ MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
 # where the O(n_max) paths hold tens of MB; beyond it a run fails to allocate
 # (n_th = 1e15 asks for 4e16 levels)
 MAX_LEVELS = 10**6
+# most levels a strobe run may use: its damping propagator is a dense
+# (n_max+1)^2 expm, and n_max 4118 peaked at 1.29 GB (43.6 s per run), so
+# 5000 levels need about 1.9 GB and the 10**6 of MAX_LEVELS terabytes
+MAX_DENSE_LEVELS = 5000
 # what a run reports as a numerical failure (exit 3)
 NUMERICAL_ERRORS = (
     NonNormalizableError,
@@ -389,10 +393,11 @@ def _n_max(config: RunConfig, n_th: float) -> int:
             n_max = default_n_max(n_th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if n_max >= MAX_LEVELS:
+    limit = MAX_DENSE_LEVELS if config.mode == "strobe" else MAX_LEVELS
+    if n_max >= limit:
         raise ConfigError(
             f"truncation n_max={n_max} needs {n_max + 1} levels, above the "
-            f"limit of {MAX_LEVELS} levels"
+            f"{config.mode} limit of {limit} levels"
         )
     return n_max
 
@@ -406,6 +411,17 @@ def _stage(mode: str, stage: str):
         raise type(exc)(f"{mode} ({stage}): {exc}") from exc
 
 
+def _trace_output(
+    params: ProtocolParams, n_max: int, trace: dynamics.EvolutionTrace
+) -> tuple[dict, list[str], list[tuple]]:
+    """Metadata and t_ra, mean_n, p0 rows of an evolve or strobe trace."""
+    rows = [
+        (float(t * params.r_a), float(m), float(p))
+        for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
+    ]
+    return _params_metadata(params, n_max), ["t_ra", "mean_n", "p0"], rows
+
+
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
@@ -416,11 +432,7 @@ def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     times = np.linspace(0.0, t_end, config.samples)
     with _stage("evolve", "integration"):
         trace = evolve(initial, gen, t_end, sample_times=times)
-    rows = [
-        (float(t * params.r_a), float(m), float(p))
-        for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
-    ]
-    return _params_metadata(params, n_max), ["t_ra", "mean_n", "p0"], rows
+    return _trace_output(params, n_max, trace)
 
 
 def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
@@ -430,13 +442,9 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     initial = thermal_distribution(params.n_th, n_max)
     with _stage("strobe", "damping and kicks"):
         trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
-    rows = [
-        (float(t * params.r_a), float(m), float(p))
-        for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
-    ]
-    meta = _params_metadata(params, n_max)
+    meta, columns, rows = _trace_output(params, n_max, trace)
     meta["n_kicks"] = config.n_kicks
-    return meta, ["t_ra", "mean_n", "p0"], rows
+    return meta, columns, rows
 
 
 def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:

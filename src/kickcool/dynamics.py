@@ -30,9 +30,8 @@ from .model import (
     KickMap,
     PhononDistribution,
     ProtocolParams,
+    _check_populations,
     _kick_vector,
-    build_kick_map,
-    default_n_max,
     thermal_distribution,
 )
 
@@ -225,25 +224,29 @@ def build_generator(
     return GeneratorMatrix(up=up, down=down, params=params, kick=kick)
 
 
-def _validated_sample(p: np.ndarray) -> PhononDistribution:
-    """Clamp integrator noise before applying the distribution invariants.
+def _checked_samples(block: np.ndarray) -> np.ndarray:
+    """Clamp integrator noise, then apply the distribution invariants, per row.
 
     Solver output can undershoot zero on near-empty levels by far more than
     the model-core clamp allows: at rtol 1e-10 the global error over a few
-    thousand steps reaches the 1e-8 scale.  Anything within 1e-7 is zeroed;
-    anything worse is a genuine tolerance failure.  Tail mass is checked
-    once per run by the caller, not per sample.
+    thousand steps reaches the 1e-8 scale.  An entry below -1e-7 is a
+    genuine tolerance failure; a row that dips less has its negative entries
+    zeroed and is renormalised.  Tail mass is checked once per run by the
+    caller, not per sample.  Works in place on the (samples, levels) block
+    and returns it.
     """
-    lowest = p.min()
-    if lowest < -1e-7:
+    lowest = block.min(axis=-1)
+    if lowest.min() < -1e-7:
         raise ConvergenceError(
-            f"integrated population went negative ({lowest:.3e}); the solve "
-            "did not meet its tolerance"
+            f"integrated population went negative ({lowest.min():.3e}); the "
+            "solve did not meet its tolerance"
         )
-    if lowest < 0.0:
-        p = np.maximum(p, 0.0)
-        p = p / p.sum()
-    return PhononDistribution(p, check_tail=False)
+    noisy = lowest < 0.0
+    if noisy.any():
+        clamped = np.maximum(block[noisy], 0.0)
+        clamped /= clamped.sum(axis=-1, keepdims=True)
+        block[noisy] = clamped
+    return _check_populations(block, check_tail=False)
 
 
 def evolve(
@@ -287,18 +290,11 @@ def evolve(
     if not sol.success:
         raise ConvergenceError(f"integration failed: {sol.message}")
 
-    n = np.arange(initial.populations.size, dtype=float)
-    snapshots: list[PhononDistribution] | None = [] if keep_snapshots else None
-    mean_n = np.empty(times.size)
-    p0 = np.empty(times.size)
-    tail_seen = 0.0
-    for j in range(times.size):
-        dist = _validated_sample(sol.y[:, j].copy())
-        mean_n[j] = float(n @ dist.populations)
-        p0[j] = dist.p0
-        tail_seen = max(tail_seen, dist.populations[-1])
-        if snapshots is not None:
-            snapshots.append(dist)
+    block = _checked_samples(sol.y.T.copy())
+    levels = np.arange(block.shape[1], dtype=float)
+    # one dot per row: block @ levels (gemv) differs in the last bit
+    mean_n = np.array([levels @ row for row in block])
+    tail_seen = block[:, -1].max()
     # below ~1e-8 the top level is dominated by integration noise, so real
     # tail growth can only be resolved above that floor, not at TAIL_TOL
     if tail_seen > 1e-8:
@@ -307,7 +303,10 @@ def evolve(
             TruncationOverflowWarning,
             stacklevel=2,
         )
-    return EvolutionTrace(times=times, mean_n=mean_n, p0=p0, snapshots=snapshots)
+    snapshots = None
+    if keep_snapshots:
+        snapshots = [PhononDistribution(row, check_tail=False) for row in block]
+    return EvolutionTrace(times=times, mean_n=mean_n, p0=block[:, 0], snapshots=snapshots)
 
 
 def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> np.ndarray:
@@ -344,39 +343,36 @@ def evolve_stroboscopic(
     n = np.arange(initial.populations.size, dtype=float)
 
     prop = damping_propagator(params, initial.n_max, period)
-    state = initial.populations.copy()
-    times = [0.0]
-    mean_n = [float(n @ state)]
-    p0 = [float(state[0])]
-    snapshots: list[PhononDistribution] | None = [] if keep_snapshots else None
-    if snapshots is not None:
-        snapshots.append(initial)
+    times: list[float] = []
+    mean_n: list[float] = []
+    p0: list[float] = []
+    kept: list[np.ndarray] | None = [] if keep_snapshots else None
+
+    def record(t: float, p: np.ndarray) -> None:
+        times.append(t)
+        mean_n.append(float(n @ p))
+        p0.append(float(p[0]))
+        if kept is not None:
+            kept.append(p)
+
+    state = initial.populations
+    record(0.0, state)
     for k in range(1, n_kicks + 1):
         state = prop @ state
-        t_kick = k * period
-        times.append(t_kick)
-        mean_n.append(float(n @ state))
-        p0.append(float(state[0]))
-        if snapshots is not None:
-            snapshots.append(_validated_sample(state.copy()))
+        record(k * period, state)
         state = _kick_vector(state, kick)
-        times.append(t_kick + offset)
-        mean_n.append(float(n @ state))
-        p0.append(float(state[0]))
-        if snapshots is not None:
-            snapshots.append(_validated_sample(state.copy()))
+        record(k * period + offset, state)
     if state[-1] > TAIL_TOL:
         warnings.warn(
             f"tail mass reached {state[-1]:.3e} during the stroboscopic run",
             TruncationOverflowWarning,
             stacklevel=2,
         )
-    return EvolutionTrace(
-        times=np.array(times),
-        mean_n=np.array(mean_n),
-        p0=np.array(p0),
-        snapshots=snapshots,
-    )
+    snapshots = None
+    if kept is not None:
+        block = _checked_samples(np.array(kept))
+        snapshots = [PhononDistribution(row, check_tail=False) for row in block]
+    return EvolutionTrace(times=times, mean_n=mean_n, p0=p0, snapshots=snapshots)
 
 
 def kick_fluctuation(dist: PhononDistribution, kick: KickMap) -> float:
@@ -648,20 +644,3 @@ def steady_state_longtime(gen: GeneratorMatrix) -> SteadyStateResult:
             f"stationarity residual stalled at {best_res:.3e} (target 1e-12)"
         )
     return _result_from_populations(best, gen.kick, LONG_TIME)
-
-
-def steady_state(
-    params: ProtocolParams, n_max: int | None = None, method: str = ANALYTIC_PRODUCT
-) -> SteadyStateResult:
-    """Convenience wrapper building the kick map and dispatching by method."""
-    if n_max is None:
-        n_max = default_n_max(params.n_th)
-    kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
-    if method == ANALYTIC_PRODUCT:
-        return steady_state_analytic(params, kick, n_max)
-    gen = build_generator(params, kick, n_max)
-    if method == NULL_SPACE:
-        return steady_state_numeric(gen)
-    if method == LONG_TIME:
-        return steady_state_longtime(gen)
-    raise ValueError(f"unknown steady-state method {method!r}")

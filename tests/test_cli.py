@@ -15,6 +15,7 @@ from kickcool import (
     steady_state_analytic,
 )
 from kickcool.cli import (
+    MAX_DENSE_LEVELS,
     MAX_LEVELS,
     PRESETS,
     ConfigError,
@@ -506,6 +507,34 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert f"limit of {MAX_LEVELS} levels" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_strobe_truncation_beyond_dense_propagator_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # one level more than strobe's dense damping propagator may hold
+        out = tmp_path / "x.csv"
+        argv = ["strobe", "--preset", "fig2", "--output", str(out),
+                "--n-max", str(MAX_DENSE_LEVELS)]
+        assert main(argv) == 2
+        assert f"strobe limit of {MAX_DENSE_LEVELS} levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max", [4118, MAX_DENSE_LEVELS - 1])
+    def test_strobe_truncation_within_limit_is_accepted(
+        self, tmp_path, monkeypatch, n_max
+    ):
+        # stop at the solver: the truncation passed every configuration check
+        seen = []
+
+        def stop(initial, params, kick, n_kicks):
+            seen.append(initial.n_max)
+            raise ConvergenceError("stopped before the damping propagator")
+
+        monkeypatch.setattr(cli, "evolve_stroboscopic", stop)
+        out = tmp_path / "x.csv"
+        argv = ["strobe", "--preset", "fig2", "--output", str(out), "--n-max", str(n_max)]
+        assert main(argv) == 3
+        assert seen == [n_max]
 
     def test_unwritable_output(self, tmp_path):
         assert (

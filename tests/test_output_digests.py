@@ -2,8 +2,9 @@
 
 Re-running a preset twice (criterion 9) cannot notice a change that moves
 bytes on both runs alike.  These digests were written at commit 067f153,
-before the sweep tabulated its kick weights once per run, so any later
-change to an output byte fails here.  Floats depend on the numpy and scipy
+before the sweep tabulated its kick weights once per run, and the evolve
+and strobe digests at commit a8dc9df, before evolve checked its samples as
+one block, so any later change to an output byte fails here.  Floats depend on the numpy and scipy
 builds, so the test runs only on the versions the digests were made with.
 """
 import hashlib
@@ -25,6 +26,10 @@ DIGESTS = {
     ("steady", "fig3", False, "json"): "269ffcc5c31f08ad0b1ef21e3bfb71d3823cd8aa13180cfb06c59d58471be738",
     ("device", "device-paper", False, "csv"): "cf53ca6d156e4cafb9bde006ff13a4a29b71cbb5c93042c3ec1d06894f24cdda",
     ("device", "device-paper", False, "json"): "36e89b573bd18bd914e55a277d56c3737fc9c7c93f1062c6b4b5003c553cc669",
+    ("evolve", "fig2", False, "csv"): "4c642a944dec7995f7256fb12ced4bfb784a3aefa142f051edbecc0940411b25",
+    ("evolve", "fig2", False, "json"): "8006fb557a3e4aa9cb3b8beddb32de9da6a60ef7f1721d4c8570f435eb20fb37",
+    ("strobe", "fig2", False, "csv"): "84432cc23e05285bfd9d6ebed688178a88746fe884f757f80a98791d1e3f7196",
+    ("strobe", "fig2", False, "json"): "db702cf16b3d34267c1b8f4c7ae6f602ffd25a7b5158afe90a1b4c24fc72b875",
 }
 
 
