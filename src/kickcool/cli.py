@@ -34,12 +34,7 @@ from .dynamics import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from .errors import (
-    ConvergenceError,
-    DegenerateKernelError,
-    DiagonalClosureError,
-    NonNormalizableError,
-)
+from .errors import ConvergenceError, DegenerateKernelError, DiagonalClosureError
 from .model import (
     KickMap,
     ProtocolParams,
@@ -57,13 +52,17 @@ MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
 # where the O(n_max) paths hold tens of MB; beyond it a run fails to allocate
 # (n_th = 1e15 asks for 4e16 levels)
 MAX_LEVELS = 10**6
+# most populations an evolve run may sample, samples * (n_max + 1): the run
+# holds about 24 bytes per entry (fig2, 2e4 -> 2e5 samples: 111 -> 374 MB
+# peak RSS), and 2e7 entries peaked at 560 MB, near the 597 MB of a steady
+# run at MAX_LEVELS; 481 samples fit up to n_max 41580
+MAX_SAMPLED_POPULATIONS = 2 * 10**7
 # most levels a strobe run may use: its damping propagator is a dense
 # (n_max+1)^2 expm, and n_max 4118 peaked at 1.29 GB (43.6 s per run), so
 # 5000 levels need about 1.9 GB and the 10**6 of MAX_LEVELS terabytes
 MAX_DENSE_LEVELS = 5000
 # what a run reports as a numerical failure (exit 3)
 NUMERICAL_ERRORS = (
-    NonNormalizableError,
     DegenerateKernelError,
     ConvergenceError,
     DiagonalClosureError,
@@ -403,12 +402,12 @@ def _n_max(config: RunConfig, n_th: float) -> int:
 
 
 @contextmanager
-def _stage(mode: str, stage: str):
-    """Re-raise a numerical failure with the mode and stage it came from."""
+def _stage(label: str):
+    """Re-raise a numerical failure with the label of the stage it came from."""
     try:
         yield
     except NUMERICAL_ERRORS as exc:
-        raise type(exc)(f"{mode} ({stage}): {exc}") from exc
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def _trace_output(
@@ -425,12 +424,18 @@ def _trace_output(
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
+    if config.samples * (n_max + 1) > MAX_SAMPLED_POPULATIONS:
+        raise ConfigError(
+            f"{config.samples} samples of {n_max + 1} levels are "
+            f"{config.samples * (n_max + 1)} populations, above the evolve "
+            f"limit of {MAX_SAMPLED_POPULATIONS}"
+        )
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     gen = build_generator(params, kick, n_max)
     initial = thermal_distribution(params.n_th, n_max)
     t_end = config.t_end_ra / params.r_a
     times = np.linspace(0.0, t_end, config.samples)
-    with _stage("evolve", "integration"):
+    with _stage("evolve (integration)"):
         trace = evolve(initial, gen, t_end, sample_times=times)
     return _trace_output(params, n_max, trace)
 
@@ -440,7 +445,7 @@ def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     initial = thermal_distribution(params.n_th, n_max)
-    with _stage("strobe", "damping and kicks"):
+    with _stage("strobe (damping and kicks)"):
         trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
     meta, columns, rows = _trace_output(params, n_max, trace)
     meta["n_kicks"] = config.n_kicks
@@ -451,9 +456,9 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
-    with _stage("steady", "analytic route"):
+    with _stage("steady (analytic route)"):
         analytic = steady_state_analytic(params, kick, n_max)
-    with _stage("steady", "null-space route"):
+    with _stage("steady (null-space route)"):
         numeric = steady_state_numeric(build_generator(params, kick, n_max))
     rows = [
         (n, float(pa), float(pn))
@@ -507,11 +512,11 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
         n_max = n_maxes[n_th]
         kicks = [KickMap(table.ce2[: n_max + 1], table.cg2[: n_max + 1], p_e, table.theta)
                  for p_e in spec.p_values]
-        ra = spec.ra_over_kappa[0]  # a bound failure is reported at the first r_a
-        try:
-            for p_e in spec.p_values:
-                dynamics._check_excitation_bound(n_th, p_e)
-            for ra, ratio in ratios:
+        for ra, ratio in ratios:
+            with _stage(f"sweep point n_th={n_th}, r_a/kappa={ra}"):
+                # the bound does not depend on r_a: a failure names the first
+                for p_e in spec.p_values:
+                    dynamics._check_excitation_bound(n_th, p_e)
                 block = dynamics._product_populations(n_th, ratio, coupling[:n_max], p_col)
                 _check_populations(block)
                 for kick, pops in zip(kicks, block):
@@ -519,8 +524,6 @@ def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
                         pops, kick, levels[: n_max + 1], survival[: n_max + 1]
                     )
                     rows.append((n_th, ra, kick.p_e, mean_n_s, delta_n, float(pops[0])))
-        except (NonNormalizableError, ValueError) as exc:
-            raise type(exc)(f"sweep point n_th={n_th}, r_a/kappa={ra}: {exc}") from exc
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
     meta = {
         "g_rad_per_s": params.g,

@@ -100,8 +100,7 @@ class GeneratorMatrix:
     Stored as its two rate bands: up[l-1] is the rate l-1 -> l (the
     sub-diagonal), down[l-1] the rate l -> l-1 (the super-diagonal).  The
     diagonal is derived as the negative column outflow, so columns sum to
-    zero.  ``apply`` multiplies in O(n_max); ``to_dense`` builds the full
-    (n_max+1)^2 array for dense solvers.
+    zero.  ``apply`` multiplies in O(n_max).
     """
 
     up: np.ndarray
@@ -131,9 +130,6 @@ class GeneratorMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G @ x for a population vector x."""
         return _apply(self.up, self.diag, self.down, x)
-
-    def to_dense(self) -> np.ndarray:
-        return _dense(self.up, self.down)
 
 
 @dataclass(frozen=True)
@@ -199,6 +195,21 @@ class SteadyStateResult:
             )
 
 
+def _check_kick(params: ProtocolParams, kick: KickMap, n_max: int, what: str) -> None:
+    """Raise ValueError unless kick is the protocol's kick over levels 0..n_max.
+
+    The protocol is the one source of p_e and the pulse area: a kick
+    tabulated for other values would pair its weights with foreign rates.
+    """
+    if kick.n_max != n_max:
+        raise ValueError(f"kick sized for n_max={kick.n_max}, {what} requested for {n_max}")
+    if (kick.p_e, kick.theta) != (params.p_e, params.theta):
+        raise ValueError(
+            f"kick built for p_e={kick.p_e!r}, theta={kick.theta!r}; the protocol "
+            f"has p_e={params.p_e!r}, theta={params.theta!r}"
+        )
+
+
 def build_generator(
     params: ProtocolParams, kick: KickMap, n_max: int
 ) -> GeneratorMatrix:
@@ -210,10 +221,7 @@ def build_generator(
     rate out of the top level is dropped, which keeps the truncated chain
     conservative (reflecting edge).
     """
-    if kick.n_max != n_max:
-        raise ValueError(
-            f"kick sized for n_max={kick.n_max}, generator requested for {n_max}"
-        )
+    _check_kick(params, kick, n_max, "generator")
     levels = np.arange(1, n_max + 1, dtype=float)
     ce2 = kick.ce2[:n_max]
     up = params.kappa * params.n_th * levels + params.r_a * params.p_e * ce2
@@ -334,8 +342,7 @@ def evolve_stroboscopic(
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be non-negative")
-    if kick.n_max != initial.n_max:
-        raise ValueError("kick and initial distribution sizes differ")
+    _check_kick(params, kick, initial.n_max, "stroboscopic run")
     if params.r_a <= 0:
         raise ValueError("stroboscopic evolution needs r_a > 0")
     period = 1.0 / params.r_a
@@ -483,10 +490,7 @@ def steady_state_analytic(
     """
     if params.kappa <= 0:
         raise ValueError("the product formula needs kappa > 0")
-    if kick.n_max != n_max:
-        raise ValueError(
-            f"kick sized for n_max={kick.n_max}, steady state requested for {n_max}"
-        )
+    _check_kick(params, kick, n_max, "steady state")
     _check_excitation_bound(params.n_th, params.p_e)
     p = _product_populations(
         params.n_th, params.ra_over_kappa, kick.ce2[:n_max], params.p_e
@@ -525,15 +529,17 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
 
     Splits the chain where both neighbouring rates vanish and solves on the
     component containing the ground state (the unique closed class reached
-    by cooling); a warning reports any removed degeneracy.  Components of
-    up to 600 levels use a dense SVD with an explicit one-dimensional-kernel
-    check at relative tolerance 1e-8.  Larger ones stay on the rate bands:
-    G p = 0 with one row replaced by p[pin] = 1 is a tridiagonal system,
-    factorised by one sparse LU.  The pin starts at level 0, or at the
-    highest level that cannot descend (the levels below it drain upwards
-    and hold no mass), and moves to the solution's most populated level if
-    that is another one; the residual ||G p||_inf is verified against 1e-9
-    of the rate scale.
+    by cooling); a warning reports any removed degeneracy.  Both solvers see
+    only that component's rate bands, whose diagonal drops the vanishing
+    rates across the cut, so nothing they build grows with the levels above
+    it.  Components of up to 600 levels are densified for an SVD with an
+    explicit one-dimensional-kernel check at relative tolerance 1e-8.
+    Larger ones stay on the bands: G p = 0 with one row replaced by
+    p[pin] = 1 is a tridiagonal system, factorised by one sparse LU.  The
+    pin starts at level 0, or at the highest level that cannot descend (the
+    levels below it drain upwards and hold no mass), and moves to the
+    solution's most populated level if that is another one; the residual
+    ||G p||_inf is verified against 1e-9 of the rate scale.
     """
     # every off-diagonal rate is a summand of its column's diagonal, so the
     # largest diagonal magnitude is the largest entry of the generator
@@ -549,19 +555,17 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
             UserWarning,
             stacklevel=2,
         )
-    size = top + 1
+    up, down = gen.up[:top], gen.down[:top]
 
-    if size <= 600:
-        block = gen.to_dense()[:size, :size]
-        _, s, vt = svd(block)
-        kernel_dim = int(np.sum(s <= 1e-8 * s[0])) if s[0] > 0 else size
+    if top < 600:
+        _, s, vt = svd(_dense(up, down))
+        kernel_dim = int(np.sum(s <= 1e-8 * s[0])) if s[0] > 0 else top + 1
         if kernel_dim != 1:
             raise DegenerateKernelError(
                 f"kernel dimension {kernel_dim} != 1 at relative tolerance 1e-8"
             )
         vec = vt[-1]
     else:
-        up, down = gen.up[:top], gen.down[:top]
         diag = _diagonal(up, down)
         # down[l] is the rate l+1 -> l: below a level that cannot descend
         # the chain drains upwards and holds no mass

@@ -1,7 +1,7 @@
-"""Dense reference form of the kick, for tests that check the banded code against it."""
+"""Dense reference forms of the kick and the generator, to check the banded code against."""
 import numpy as np
 
-from kickcool import KickMap
+from kickcool import GeneratorMatrix, KickMap
 
 
 def kick_matrix(kick: KickMap) -> np.ndarray:
@@ -14,4 +14,15 @@ def kick_matrix(kick: KickMap) -> np.ndarray:
     m[np.arange(size - 1), np.arange(size - 1)] += kick.p_e * (1.0 - kick.ce2[:-1])
     m[idx, idx + 1] += (1.0 - kick.p_e) * kick.ce2[:-1]
     m[idx + 1, idx] += kick.p_e * kick.ce2[:-1]
+    return m
+
+
+def generator_matrix(gen: GeneratorMatrix) -> np.ndarray:
+    """Dense (n_max+1)x(n_max+1) form of the generator's three stored bands."""
+    size = gen.n_max + 1
+    idx = np.arange(size - 1)
+    m = np.zeros((size, size))
+    m[np.arange(size), np.arange(size)] = gen.diag
+    m[idx + 1, idx] = gen.up  # l -> l+1 below the diagonal
+    m[idx, idx + 1] = gen.down  # l+1 -> l above it
     return m

@@ -17,6 +17,7 @@ from kickcool import (
 from kickcool.cli import (
     MAX_DENSE_LEVELS,
     MAX_LEVELS,
+    MAX_SAMPLED_POPULATIONS,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -535,6 +536,37 @@ class TestErrorPaths:
         argv = ["strobe", "--preset", "fig2", "--output", str(out), "--n-max", str(n_max)]
         assert main(argv) == 3
         assert seen == [n_max]
+
+    @pytest.mark.parametrize("n_max", [60, 855])
+    def test_oversized_sample_block_is_config_error(self, tmp_path, capsys, n_max):
+        # one sample more than the limit allows at this truncation
+        samples = MAX_SAMPLED_POPULATIONS // (n_max + 1) + 1
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--preset", "fig2", "--output", str(out),
+                "--n-max", str(n_max), "--samples", str(samples)]
+        assert main(argv) == 2
+        assert f"evolve limit of {MAX_SAMPLED_POPULATIONS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_max, samples", [(855, 481), (60, MAX_SAMPLED_POPULATIONS // 61)]
+    )
+    def test_sample_block_within_limit_is_accepted(
+        self, tmp_path, monkeypatch, n_max, samples
+    ):
+        # stop at the solver: the sample block passed every configuration check
+        seen = []
+
+        def stop(initial, gen, t_end, sample_times):
+            seen.append(sample_times.size * (initial.n_max + 1))
+            raise ConvergenceError("stopped before the integration")
+
+        monkeypatch.setattr(cli, "evolve", stop)
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--preset", "fig2", "--output", str(out),
+                "--n-max", str(n_max), "--samples", str(samples)]
+        assert main(argv) == 3
+        assert seen == [samples * (n_max + 1)]
 
     def test_unwritable_output(self, tmp_path):
         assert (

@@ -29,7 +29,7 @@ from kickcool import (
     thermal_distribution,
 )
 
-from kick_reference import kick_matrix
+from kick_reference import generator_matrix, kick_matrix
 
 G_REF = 2 * np.pi * 1e7
 KAPPA_REF = np.pi * 1e3
@@ -56,13 +56,13 @@ def demo_setup(n_max=60):
 class TestGenerator:
     def test_columns_sum_to_zero(self):
         _, _, gen = demo_setup()
-        dense = gen.to_dense()
+        dense = generator_matrix(gen)
         scale = np.abs(dense).max()
         assert np.abs(dense.sum(axis=0)).max() < 1e-12 * scale
 
     def test_offdiagonal_rates_nonnegative(self):
         _, _, gen = demo_setup()
-        dense = gen.to_dense()
+        dense = generator_matrix(gen)
         off = dense - np.diag(np.diag(dense))
         assert off.min() >= 0.0
 
@@ -80,7 +80,7 @@ class TestGenerator:
             (up, [0.0])
         ) - np.concatenate(([0.0], down))
         direct = params.r_a * (kick_matrix(kick) - np.eye(size)) + damping
-        dense = gen.to_dense()
+        dense = generator_matrix(gen)
         scale = np.abs(dense).max()
         np.testing.assert_allclose(dense, direct, atol=1e-12 * scale)
 
@@ -114,7 +114,7 @@ class TestGenerator:
     def test_apply_matches_dense_product(self):
         _, _, gen = demo_setup()
         x = np.random.default_rng(5).random(gen.n_max + 1)
-        dense = gen.to_dense()
+        dense = generator_matrix(gen)
         scale = np.abs(dense).max() * np.abs(x).max()
         np.testing.assert_allclose(gen.apply(x), dense @ x, rtol=0, atol=1e-14 * scale)
 
@@ -247,7 +247,7 @@ class TestEvolve:
         times = np.linspace(0.0, t_end, 481)
         trace = evolve(initial, gen, t_end, sample_times=times)
 
-        step = expm(gen.to_dense() * (times[1] - times[0]))
+        step = expm(generator_matrix(gen) * (times[1] - times[0]))
         levels = np.arange(n_max + 1, dtype=float)
         state = initial.populations.copy()
         ref_mean, ref_p0 = [levels @ state], [state[0]]
@@ -398,6 +398,26 @@ class TestSteadyStateAnalytic:
         kick = build_kick_map(params.g, params.tau, 0.0, kick_n_max)
         with pytest.raises(ValueError, match=f"kick sized for n_max={kick_n_max}"):
             steady_state_analytic(params, kick, 60)
+
+
+class TestKickMatchesProtocol:
+    """p_e and the pulse area have one source: the protocol."""
+
+    # a kick built for another p_e, then one built for another pulse area
+    @pytest.mark.parametrize("kick_p_e, kick_theta", [(0.0, 1.0), (0.2, 0.9)])
+    @pytest.mark.parametrize("route", ["generator", "analytic", "stroboscopic"])
+    def test_foreign_kick_rejected(self, route, kick_p_e, kick_theta):
+        params = make_params(1.0, 100.0, 1.0, p_e=0.2)
+        kick = build_kick_map(params.g, kick_theta / params.g, kick_p_e, 60)
+        calls = {
+            "generator": lambda: build_generator(params, kick, 60),
+            "analytic": lambda: steady_state_analytic(params, kick, 60),
+            "stroboscopic": lambda: evolve_stroboscopic(
+                thermal_distribution(1.0, 60), params, kick, 1
+            ),
+        }
+        with pytest.raises(ValueError, match="kick built for"):
+            calls[route]()
 
 
 class TestSteadyStateResult:

@@ -4,7 +4,9 @@ Re-running a preset twice (criterion 9) cannot notice a change that moves
 bytes on both runs alike.  These digests were written at commit 067f153,
 before the sweep tabulated its kick weights once per run, and the evolve
 and strobe digests at commit a8dc9df, before evolve checked its samples as
-one block, so any later change to an output byte fails here.  Floats depend on the numpy and scipy
+one block, and the steady fig2 digests at commit 81ce10d, before the
+null-space route took only the ground-state component's bands, so any
+later change to an output byte fails here.  Floats depend on the numpy and scipy
 builds, so the test runs only on the versions the digests were made with.
 """
 import hashlib
@@ -22,6 +24,8 @@ DIGESTS = {
     ("sweep", "fig3", False, "json"): "51f75c329e780a51886222e74299cc808739139899fe0808c55a7cedc36acdc5",
     ("sweep", "fig3", True, "csv"): "cce95cc322e13fbd3429554c4e9d2e7d5c5515eba4704696527036ba76e2e1f2",
     ("sweep", "fig3", True, "json"): "668999a00a7d90168d07bfe3c48eed7f8306944fff3ee58d73d347f35eeec423",
+    ("steady", "fig2", False, "csv"): "b1808667d81c3d6b051d02444fc02737326f857cb64cea18ab4756518fb39e30",
+    ("steady", "fig2", False, "json"): "1ed77d540965357d7d821660fec1ac0919e3d41ad343ffcf5714cb0b35fad0a4",
     ("steady", "fig3", False, "csv"): "a1946e20b0cd7185e45aefdf1874611b7323008b94d5fe401066e6122f47bca9",
     ("steady", "fig3", False, "json"): "269ffcc5c31f08ad0b1ef21e3bfb71d3823cd8aa13180cfb06c59d58471be738",
     ("device", "device-paper", False, "csv"): "cf53ca6d156e4cafb9bde006ff13a4a29b71cbb5c93042c3ec1d06894f24cdda",

@@ -1,11 +1,12 @@
 """Model invariants checked on generated protocol parameters."""
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kickcool import (
@@ -28,6 +29,8 @@ from kickcool import (
 )
 from kickcool.cli import RunConfig, SweepSpec, _run_sweep
 from kickcool.corrections import _decayed_coupling, _fidelity_profile
+
+from kick_reference import generator_matrix
 
 G = 2 * math.pi * 1e7
 KAPPA = math.pi * 1e3
@@ -82,6 +85,39 @@ def test_steady_state_routes_agree(params):
     assert worst <= 1e-8
 
 
+# theta = pi/2 closes the (3, 4) swap: a 4-level component of 5001 levels
+@example((4, 5000))
+@settings(derandomize=True, max_examples=25, deadline=2000)
+@given(
+    st.integers(2, 900).flatmap(
+        lambda closing: st.tuples(st.just(closing), st.integers(closing, 5000))
+    )
+)
+def test_cut_chain_is_solved_on_its_ground_component(sizes):
+    # theta = pi/sqrt(l) closes the (l-1, l) swap; without damping, heating or
+    # an excited qubit that swap is a cut, and every kick below it cools
+    closing, n_max = sizes
+    theta = math.pi / math.sqrt(closing)
+    params = ProtocolParams(g=G, tau=theta / G, r_a=1e6, kappa=0.0, n_th=0.0)
+    gen = build_generator(params, build_kick_map(params.g, params.tau, 0.0, n_max), n_max)
+    with pytest.warns(UserWarning, match=f"above level {closing - 1};"):
+        populations = steady_state_numeric(gen).populations.populations
+    # the dense SVD of up to 600 levels leaves up to 2.7e-12 beside level 0
+    assert populations[0] == pytest.approx(1.0, abs=1e-11)
+    assert not populations[closing:].any()
+    # ten dense copies of the component and eight vectors of the whole chain;
+    # one dense copy of the chain is 8 (n_max + 1)^2 bytes, 200 MB at 5000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            steady_state_numeric(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 80 * closing**2 + 64 * (n_max + 1) + 2**16
+
+
 @given(
     st.integers(2, 20).flatmap(
         lambda n_max: st.lists(st.floats(0.0, 1.0), min_size=n_max - 1, max_size=n_max - 1)
@@ -131,7 +167,9 @@ def test_damping_propagator_is_column_stochastic(params, n_max, log_kappa_dt):
 def test_generator_is_a_markov_generator(params, n_max, p_e, n_th):
     # p_e and n_th beyond the normalizability bound still give a valid generator
     point = replace(params, n_th=n_th, p_e=p_e)
-    dense = build_generator(point, build_kick_map(point.g, point.tau, p_e, n_max), n_max).to_dense()
+    dense = generator_matrix(
+        build_generator(point, build_kick_map(point.g, point.tau, p_e, n_max), n_max)
+    )
     scale = np.abs(np.diag(dense)).max()
     assert np.abs(dense.sum(axis=0)).max() <= 1e-14 * scale
     off_diagonal = dense - np.diag(np.diag(dense))
