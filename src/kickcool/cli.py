@@ -57,10 +57,11 @@ MAX_LEVELS = 10**6
 # peak RSS), and 2e7 entries peaked at 560 MB, near the 597 MB of a steady
 # run at MAX_LEVELS; 481 samples fit up to n_max 41580
 MAX_SAMPLED_POPULATIONS = 2 * 10**7
-# most levels a strobe run may use: its damping propagator is a dense
-# (n_max+1)^2 expm, and n_max 4118 peaked at 1.29 GB (43.6 s per run), so
-# 5000 levels need about 1.9 GB and the 10**6 of MAX_LEVELS terabytes
-MAX_DENSE_LEVELS = 5000
+# most levels a strobe run may use: its banded damping stepper holds about
+# 0.7 kB per level (n_max 1e5 / 3e5 / 6e5 peaked at 128 / 268 / 479 MB RSS),
+# so a run at the limit peaks near 585 MB, beside the 597 MB of a steady run
+# at MAX_LEVELS; the presets' largest truncation, n_th 1000, peaks at 86 MB
+MAX_STROBE_LEVELS = 750_000
 # what a run reports as a numerical failure (exit 3)
 NUMERICAL_ERRORS = (
     DegenerateKernelError,
@@ -392,7 +393,7 @@ def _n_max(config: RunConfig, n_th: float) -> int:
             n_max = default_n_max(n_th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    limit = MAX_DENSE_LEVELS if config.mode == "strobe" else MAX_LEVELS
+    limit = MAX_STROBE_LEVELS if config.mode == "strobe" else MAX_LEVELS
     if n_max >= limit:
         raise ConfigError(
             f"truncation n_max={n_max} needs {n_max + 1} levels, above the "

@@ -32,6 +32,7 @@ from .model import (
     ProtocolParams,
     _check_populations,
     _kick_vector,
+    _level_mean,
     thermal_distribution,
 )
 
@@ -61,9 +62,12 @@ def _on_first_call(module: str, name: str):
 
 
 solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
+# uncalled: bench/worker.py counts calls through this binding
 expm = _on_first_call("scipy.linalg", "expm")
 solve_banded = _on_first_call("scipy.linalg", "solve_banded")
 svd = _on_first_call("scipy.linalg", "svd")
+zgttrf = _on_first_call("scipy.linalg.lapack", "zgttrf")
+zgttrs = _on_first_call("scipy.linalg.lapack", "zgttrs")
 diags = _on_first_call("scipy.sparse", "diags")
 splu = _on_first_call("scipy.sparse.linalg", "splu")
 
@@ -299,9 +303,7 @@ def evolve(
         raise ConvergenceError(f"integration failed: {sol.message}")
 
     block = _checked_samples(sol.y.T.copy())
-    levels = np.arange(block.shape[1], dtype=float)
-    # one dot per row: block @ levels (gemv) differs in the last bit
-    mean_n = np.array([levels @ row for row in block])
+    mean_n = _level_mean(np.arange(block.shape[1], dtype=float), block)
     tail_seen = block[:, -1].max()
     # below ~1e-8 the top level is dominated by integration noise, so real
     # tail growth can only be resolved above that floor, not at TAIL_TOL
@@ -317,12 +319,99 @@ def evolve(
     return EvolutionTrace(times=times, mean_n=mean_n, p0=block[:, 0], snapshots=snapshots)
 
 
-def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> np.ndarray:
-    """exp(L*dt) of the damping-only generator (column-stochastic matrix)."""
+# The (16, 16) Carathéodory-Fejér approximation of exp on (-inf, 0], from the
+# algorithm of Trefethen, Weideman & Schmelzer (BIT 46, 653, 2006, fig. 4.1)
+# run in 60-digit arithmetic: its eight poles in the upper half plane and
+# minus their residues.  2 Re sum_k w_k / (z_k - x) is within 5e-16 of exp(x)
+# for every x <= 0.
+_CF_POLES = np.array([
+    6.416177699099483 + 1.1941223933701346j,
+    5.948152268951234 + 3.58745736201831j,
+    4.993174737718069 + 5.996881713603921j,
+    3.509103608415018 + 8.436198985884344j,
+    1.4193758971858133 + 10.92536348449668j,
+    -1.413928462488652 + 13.497725698892689j,
+    -5.264971343442207 + 16.22022147316785j,
+    -10.843917078695654 + 19.27744616718121j,
+])
+_CF_WEIGHTS = np.array([
+    64.50087802554373 + 224.59440762653085j,
+    -113.39775178484675 - 101.94721704216208j,
+    62.518392463212315 + 11.19039109428232j,
+    -15.059585270024606 + 5.7514052776432765j,
+    1.479300711355903 - 1.7686588323786054j,
+    -0.0410231368354073 + 0.15743466173459056j,
+    -0.00021151742182520545 - 0.004389296964739718j,
+    5.090152186615371e-07 + 2.4220017652877375e-05j,
+])
+
+
+class _DampingStepper:
+    """exp(dt*L) @ v for the tridiagonal generator L with these rate bands.
+
+    exp(x) is replaced by the rational approximation above, whose poles
+    come in conjugate pairs, so for real v
+
+        exp(h*L) v = 2 Re sum_k w_k (z_k - h*L)^-1 v
+
+    over the eight poles z_k in the upper half plane.  Block k of one
+    complex tridiagonal system holds (z_k - h*L) / w_k; the blocks are
+    uncoupled, so one LU factorisation serves the run and one solve gives
+    all eight terms.  L is far from normal on cold baths, where the
+    approximation's error on the spectrum is amplified: a period dt is
+    therefore taken in m = ceil(dt * max_l (down_l - up_l)^2 / (down_l + up_l))
+    sub-steps h = dt/m, and each sub-step restores the input's total mass.
+    A 2-d input is stepped column by column, each exactly as a vector.
+    """
+
+    def __init__(self, up: np.ndarray, down: np.ndarray, dt: float) -> None:
+        if dt < 0:
+            raise ValueError("the damping step needs dt >= 0")
+        spread = up + down
+        moving = spread > 0.0
+        peclet = ((down - up)[moving] ** 2 / spread[moving]).max(initial=0.0)
+        self.substeps = max(1, math.ceil(dt * peclet))
+        h = dt / self.substeps
+        scale = 1.0 / _CF_WEIGHTS[:, None]
+        main = (_CF_POLES[:, None] - h * _diagonal(up, down)) * scale
+        lower = np.zeros_like(main)
+        upper = np.zeros_like(main)
+        # the last off-diagonal entry of a block would couple it to the next
+        lower[:, :-1] = -h * up * scale
+        upper[:, :-1] = -h * down * scale
+        *self._factors, info = zgttrf(
+            lower.ravel()[:-1], main.ravel(), upper.ravel()[:-1],
+            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+        )
+        if info:
+            raise FloatingPointError(f"damping step factorisation failed (info {info})")
+        self._shape = main.shape
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """exp(dt*L) @ v, one banded solve per sub-step."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 2:
+            return np.stack([self @ column for column in v.T], axis=1)
+        mass = v.sum()
+        rhs = np.empty(self._shape, dtype=complex)
+        for _ in range(self.substeps):
+            rhs[...] = v
+            x, _ = zgttrs(*self._factors, rhs.reshape(-1, 1), overwrite_b=True)
+            v = 2.0 * x.reshape(self._shape).sum(axis=0).real
+            v *= mass / v.sum()
+        return v
+
+
+def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> _DampingStepper:
+    """exp(L*dt) of the damping-only generator, as a stepper: ``prop @ p``.
+
+    The propagator is column-stochastic; apply it to ``np.eye(n_max + 1)``
+    for its matrix.
+    """
     levels = np.arange(1, n_max + 1, dtype=float)
     up = params.kappa * params.n_th * levels
     down = params.kappa * (params.n_th + 1.0) * levels
-    return expm(_dense(up, down) * dt)
+    return _DampingStepper(up, down, dt)
 
 
 def evolve_stroboscopic(
@@ -357,7 +446,7 @@ def evolve_stroboscopic(
 
     def record(t: float, p: np.ndarray) -> None:
         times.append(t)
-        mean_n.append(float(n @ p))
+        mean_n.append(float(_level_mean(n, p)))
         p0.append(float(p[0]))
         if kept is not None:
             kept.append(p)
@@ -395,12 +484,12 @@ def _row_summary(
 ) -> tuple[float, float]:
     """Mean phonon number of p and the mean one kick removes from it.
 
-    levels is 0..n_max as floats.  One n.p dot serves both numbers: as a
-    float it equals mean_phonon's integer-weighted dot bitwise, and the
-    difference is kick_fluctuation.  survival is 1 - kick.ce2 if tabulated.
+    levels is 0..n_max as floats.  One level mean serves both numbers: it
+    equals mean_phonon bitwise, and the difference is kick_fluctuation.
+    survival is 1 - kick.ce2 if tabulated.
     """
-    mean = levels @ p
-    return float(mean), float(mean - levels @ _kick_vector(p, kick, survival))
+    mean = _level_mean(levels, p)
+    return float(mean), float(mean - _level_mean(levels, _kick_vector(p, kick, survival)))
 
 
 def _product_populations(

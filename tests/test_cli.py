@@ -15,9 +15,9 @@ from kickcool import (
     steady_state_analytic,
 )
 from kickcool.cli import (
-    MAX_DENSE_LEVELS,
     MAX_LEVELS,
     MAX_SAMPLED_POPULATIONS,
+    MAX_STROBE_LEVELS,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -509,18 +509,18 @@ class TestErrorPaths:
         assert f"limit of {MAX_LEVELS} levels" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_strobe_truncation_beyond_dense_propagator_is_config_error(
+    def test_strobe_truncation_beyond_limit_is_config_error(
         self, tmp_path, capsys
     ):
-        # one level more than strobe's dense damping propagator may hold
+        # one level more than strobe's banded damping stepper may hold
         out = tmp_path / "x.csv"
         argv = ["strobe", "--preset", "fig2", "--output", str(out),
-                "--n-max", str(MAX_DENSE_LEVELS)]
+                "--n-max", str(MAX_STROBE_LEVELS)]
         assert main(argv) == 2
-        assert f"strobe limit of {MAX_DENSE_LEVELS} levels" in capsys.readouterr().err
+        assert f"strobe limit of {MAX_STROBE_LEVELS} levels" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_max", [4118, MAX_DENSE_LEVELS - 1])
+    @pytest.mark.parametrize("n_max", [4118, 40568, MAX_STROBE_LEVELS - 1])
     def test_strobe_truncation_within_limit_is_accepted(
         self, tmp_path, monkeypatch, n_max
     ):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from kickcool import (
     thermal_distribution,
 )
 
-from kick_reference import generator_matrix, kick_matrix
+from kick_reference import damping_matrix, generator_matrix, kick_matrix
 
 G_REF = 2 * np.pi * 1e7
 KAPPA_REF = np.pi * 1e3
@@ -338,11 +339,76 @@ class TestStroboscopic:
         allowance = steady.delta_n / 2.0 + 0.02 * steady.mean_n_s
         assert abs(averaged - steady.mean_n_s) < allowance
 
+    def test_strobe_855_holds_no_square_array(self):
+        # the benchmark's strobe-855 cell: 856 levels, 5.9 MB per dense copy
+        params = make_params(30.0, 200.0, 1.0)
+        n_max = default_n_max(params.n_th)
+        assert n_max == 855
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        initial = thermal_distribution(params.n_th, n_max)
+        tracemalloc.start()
+        try:
+            evolve_stroboscopic(initial, params, kick, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n_max + 1) ** 2
+
+    def test_hot_bath_runs_400_kicks_in_seconds(self):
+        # n_th 100, 4119 levels: a dense propagator holds 136 MB per copy
+        params = make_params(100.0, 133.0, np.pi / 8.0)
+        n_max = default_n_max(params.n_th)
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        initial = thermal_distribution(params.n_th, n_max)
+        start = time.perf_counter()
+        trace = evolve_stroboscopic(initial, params, kick, 400)
+        assert time.perf_counter() - start < 3.0
+        assert trace.mean_n[-1] < trace.mean_n[0]
+
     def test_damping_propagator_is_stochastic(self):
         params, _, _ = demo_setup()
-        prop = damping_propagator(params, 40, 1.0 / params.r_a)
+        prop = damping_propagator(params, 40, 1.0 / params.r_a) @ np.eye(41)
         np.testing.assert_allclose(prop.sum(axis=0), 1.0, atol=1e-12)
         assert prop.min() >= -1e-15
+
+
+class TestDampingStepper:
+    """One damping period on the bands against the dense expm reference.
+
+    Cold baths make the generator far from normal: without its sub-steps
+    the stepper misses by 1.9e-4, with entries of -1.2e-5, at n_th 0, n_max
+    60, kappa*dt 1; without its mass step the column sums drift by up to
+    2.2e-11 (n_th 100, n_max 60, kappa*dt 10).
+    """
+
+    @staticmethod
+    def check(n_th, n_max, kappa_dt, stride=1):
+        # a stride samples every stride-th column (and the last) of the
+        # larger propagators, whose sub-steps on all columns take seconds
+        params = make_params(n_th, 133.0, np.pi / 8.0)
+        dt = kappa_dt / params.kappa
+        columns = np.unique(np.r_[0 : n_max + 1 : stride, n_max])
+        got = damping_propagator(params, n_max, dt) @ np.eye(n_max + 1)[:, columns]
+        ref = damping_matrix(params, n_max, dt)[:, columns]
+        assert np.abs(got - ref).max() <= 1e-12
+        assert got.min() >= -1e-13
+        assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_th", [0.0, 1e-3, 0.5, 1.7, 10.0, 100.0])
+    def test_matches_expm_up_to_60_levels(self, n_th):
+        for n_max in (2, 18, 60):
+            for kappa_dt in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
+                self.check(n_th, n_max, kappa_dt)
+
+    @pytest.mark.parametrize("n_th", [0.0, 1e-3, 0.5, 1.7, 10.0, 100.0])
+    def test_matches_expm_at_315_levels(self, n_th):
+        for kappa_dt in (1e-3, 1e-2, 1e-1, 1.0):
+            self.check(n_th, 315, kappa_dt, stride=8)
+
+    @pytest.mark.parametrize("ra_over_kappa", [150.0, 300.0])
+    def test_matches_expm_on_strobe_855_cells(self, ra_over_kappa):
+        # the benchmark's strobe-855 cell: n_th 30, r_a/kappa in 150..300
+        self.check(30.0, 855, 1.0 / ra_over_kappa, stride=8)
 
 
 class TestSteadyStateAnalytic:

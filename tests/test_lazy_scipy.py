@@ -42,7 +42,8 @@ def run_strobe():
     evolve_stroboscopic(thermal_distribution(params.n_th, kick.n_max), params, kick, 2)
 
 
-# the smallest run that reaches each counted scipy function
+# the smallest run that reaches each counted scipy function; expm stays
+# bound for the benchmark's counters, and strobe must not reach it
 RUNS = {
     "solve_ivp": run_evolve,
     "solve_banded": lambda: steady_state_longtime(fig2_at(1.7)[2]),
@@ -67,7 +68,10 @@ def test_counted_bindings_see_every_call(monkeypatch):
     for name in counted:
         counts.clear()
         RUNS[name]()
-        assert counts[name] > 0, f"{name} was called around its module binding"
+        if name == "expm":
+            assert counts[name] == 0, "strobe called expm"
+        else:
+            assert counts[name] > 0, f"{name} was called around its module binding"
 
 
 COLD_START = """

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from kickcool import (
     number_state,
     thermal_distribution,
 )
-from kickcool.model import TAIL_TOL, _check_populations
+from kickcool.model import TAIL_TOL, _check_populations, _level_mean
 
 from kick_reference import kick_matrix
 
@@ -172,6 +173,21 @@ class TestThermalDistribution:
     def test_mean_trivial_cases(self):
         assert mean_phonon(number_state(0, 5)) == 0.0
         assert mean_phonon(number_state(3, 5)) == 3.0
+
+    @pytest.mark.parametrize("size", [61, 856, 40569])
+    def test_level_means_of_a_block(self, size):
+        # evolve takes its sample means as one block: each is bitwise the
+        # mean of its row alone, and within a pairwise sum's rounding of
+        # the exactly rounded sum
+        rng = np.random.default_rng(size)
+        block = rng.random((7, size))
+        block /= block.sum(axis=1, keepdims=True)
+        levels = np.arange(size, dtype=float)
+        means = _level_mean(levels, block)
+        assert means.tolist() == [_level_mean(levels, row) for row in block]
+        exact = [math.fsum(levels * row) for row in block]
+        np.testing.assert_allclose(means, exact, rtol=1e-14, atol=0)
+        assert mean_phonon(PhononDistribution(block[0], check_tail=False)) == means[0]
 
 
 class TestPhononDistribution:
