@@ -53,8 +53,8 @@ MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
 # (n_th = 1e15 asks for 4e16 levels)
 MAX_LEVELS = 10**6
 # most populations an evolve run may sample, samples * (n_max + 1): the run
-# holds about 24 bytes per entry (fig2, 2e4 -> 2e5 samples: 111 -> 374 MB
-# peak RSS), and 2e7 entries peaked at 560 MB, near the 597 MB of a steady
+# holds about 16 bytes per entry (fig2, 2e4 -> 2e5 samples: 77 -> 253 MB
+# peak RSS), and 2e7 entries peaked at 378 MB, below the 597 MB of a steady
 # run at MAX_LEVELS; 481 samples fit up to n_max 41580
 MAX_SAMPLED_POPULATIONS = 2 * 10**7
 # most levels a strobe run may use: its banded damping stepper holds about

@@ -26,6 +26,7 @@ from .errors import (
     TruncationOverflowWarning,
 )
 from .model import (
+    NEG_CLAMP,
     TAIL_TOL,
     KickMap,
     PhononDistribution,
@@ -61,8 +62,8 @@ def _on_first_call(module: str, name: str):
     return call
 
 
+# uncalled: bench/worker.py counts calls through these two bindings
 solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
-# uncalled: bench/worker.py counts calls through this binding
 expm = _on_first_call("scipy.linalg", "expm")
 solve_banded = _on_first_call("scipy.linalg", "solve_banded")
 svd = _on_first_call("scipy.linalg", "svd")
@@ -237,28 +238,30 @@ def build_generator(
 
 
 def _checked_samples(block: np.ndarray) -> np.ndarray:
-    """Clamp integrator noise, then apply the distribution invariants, per row.
+    """Apply the distribution invariants to every row of a (samples, levels) block.
 
-    Solver output can undershoot zero on near-empty levels by far more than
-    the model-core clamp allows: at rtol 1e-10 the global error over a few
-    thousand steps reaches the 1e-8 scale.  An entry below -1e-7 is a
-    genuine tolerance failure; a row that dips less has its negative entries
-    zeroed and is renormalised.  Tail mass is checked once per run by the
-    caller, not per sample.  Works in place on the (samples, levels) block
-    and returns it.
+    The banded stepper undershoots zero by less than 1e-13, so an entry
+    below the model-core clamp of -1e-12 means the step lost its accuracy:
+    it raises ConvergenceError, a numerical failure rather than a bad input.
+    Anything less is rounding noise, which _check_populations clamps.  Tail
+    mass is checked once per run by the caller, not per sample.  Works in
+    place and returns the block.
     """
-    lowest = block.min(axis=-1)
-    if lowest.min() < -1e-7:
+    lowest = block.min()
+    if lowest < NEG_CLAMP:
         raise ConvergenceError(
-            f"integrated population went negative ({lowest.min():.3e}); the "
-            "solve did not meet its tolerance"
+            f"stepped population went negative ({lowest:.3e}); the step did "
+            "not meet its accuracy"
         )
-    noisy = lowest < 0.0
-    if noisy.any():
-        clamped = np.maximum(block[noisy], 0.0)
-        clamped /= clamped.sum(axis=-1, keepdims=True)
-        block[noisy] = clamped
     return _check_populations(block, check_tail=False)
+
+
+def _step_groups(steps: np.ndarray, tol: float) -> list[int]:
+    """A group label for each step: sorted neighbours within tol share one."""
+    order = np.argsort(steps, kind="stable")
+    labels = np.empty(steps.size, dtype=np.intp)
+    labels[order] = np.cumsum(np.r_[True, np.diff(steps[order]) > tol])
+    return labels.tolist()
 
 
 def evolve(
@@ -268,12 +271,18 @@ def evolve(
     sample_times: np.ndarray | None = None,
     keep_snapshots: bool = False,
 ) -> EvolutionTrace:
-    """Integrate dP/dt = G P from the initial distribution up to t_end.
+    """Step dP/dt = G P from the initial distribution through the sample times.
 
-    One implicit multistep (BDF) scheme with adaptive error control at
-    rtol=1e-10, atol=1e-13 and the exact Jacobian, which is G itself:
-    constant and tridiagonal, so the solver factorises a banded matrix and
-    costs O(n_max) per step on stiff and non-stiff windows alike.
+    Each sample is the previous one (the initial distribution before the
+    first) advanced by exp(dt*G) over the gap dt between them, on the
+    banded stepper that ``damping_propagator`` also returns; a sample at
+    t = 0 is the initial distribution itself.  Gaps that differ by at most
+    four ulps of the last sample time, which is all rounding of the sample
+    times can make them differ, are one step: every gap of an
+    ``np.linspace`` grid reuses one factorisation, built for the first gap
+    of its group, and a factorisation is dropped after its group's last
+    step.  The samples are checked as one block by ``_checked_samples``,
+    and a top level that grows past TAIL_TOL warns once.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -289,25 +298,25 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
 
-    sol = solve_ivp(
-        lambda _t, y: gen.apply(y),
-        (0.0, float(t_end)),
-        initial.populations,
-        t_eval=times,
-        method="BDF",
-        jac=diags([gen.up, gen.diag, gen.down], [-1, 0, 1], format="csc"),
-        rtol=1e-10,
-        atol=1e-13,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
+    steps = np.diff(times, prepend=0.0)
+    labels = _step_groups(steps, 4.0 * np.spacing(times[-1]))
+    last_step = {label: i for i, label in enumerate(labels)}
+    steppers: dict[int, _BandStepper] = {}
+    state = initial.populations
+    block = np.empty((times.size, state.size))
+    for i, label in enumerate(labels):
+        if steps[i] > 0.0:
+            if label not in steppers:
+                steppers[label] = _BandStepper(gen.up, gen.down, steps[i])
+            state = steppers[label] @ state
+            if last_step[label] == i:
+                del steppers[label]
+        block[i] = state
 
-    block = _checked_samples(sol.y.T.copy())
+    block = _checked_samples(block)
     mean_n = _level_mean(np.arange(block.shape[1], dtype=float), block)
     tail_seen = block[:, -1].max()
-    # below ~1e-8 the top level is dominated by integration noise, so real
-    # tail growth can only be resolved above that floor, not at TAIL_TOL
-    if tail_seen > 1e-8:
+    if tail_seen > TAIL_TOL:
         warnings.warn(
             f"tail mass grew to {tail_seen:.3e} during the evolution",
             TruncationOverflowWarning,
@@ -346,8 +355,12 @@ _CF_WEIGHTS = np.array([
 ])
 
 
-class _DampingStepper:
+class _BandStepper:
     """exp(dt*L) @ v for the tridiagonal generator L with these rate bands.
+
+    ``damping_propagator`` builds it from the damping-only bands for one
+    strobe period, ``evolve`` from the generator's bands for each gap
+    between its samples.
 
     exp(x) is replaced by the rational approximation above, whose poles
     come in conjugate pairs, so for real v
@@ -358,7 +371,7 @@ class _DampingStepper:
     complex tridiagonal system holds (z_k - h*L) / w_k; the blocks are
     uncoupled, so one LU factorisation serves the run and one solve gives
     all eight terms.  L is far from normal on cold baths, where the
-    approximation's error on the spectrum is amplified: a period dt is
+    approximation's error on the spectrum is amplified: a step dt is
     therefore taken in m = ceil(dt * max_l (down_l - up_l)^2 / (down_l + up_l))
     sub-steps h = dt/m, and each sub-step restores the input's total mass.
     A 2-d input is stepped column by column, each exactly as a vector.
@@ -366,7 +379,7 @@ class _DampingStepper:
 
     def __init__(self, up: np.ndarray, down: np.ndarray, dt: float) -> None:
         if dt < 0:
-            raise ValueError("the damping step needs dt >= 0")
+            raise ValueError("the step needs dt >= 0")
         spread = up + down
         moving = spread > 0.0
         peclet = ((down - up)[moving] ** 2 / spread[moving]).max(initial=0.0)
@@ -384,7 +397,7 @@ class _DampingStepper:
             overwrite_dl=True, overwrite_d=True, overwrite_du=True,
         )
         if info:
-            raise FloatingPointError(f"damping step factorisation failed (info {info})")
+            raise FloatingPointError(f"step factorisation failed (info {info})")
         self._shape = main.shape
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -402,7 +415,7 @@ class _DampingStepper:
         return v
 
 
-def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> _DampingStepper:
+def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> _BandStepper:
     """exp(L*dt) of the damping-only generator, as a stepper: ``prop @ p``.
 
     The propagator is column-stochastic; apply it to ``np.eye(n_max + 1)``
@@ -411,7 +424,7 @@ def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> _Dampin
     levels = np.arange(1, n_max + 1, dtype=float)
     up = params.kappa * params.n_th * levels
     down = params.kappa * (params.n_th + 1.0) * levels
-    return _DampingStepper(up, down, dt)
+    return _BandStepper(up, down, dt)
 
 
 def evolve_stroboscopic(

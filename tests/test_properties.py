@@ -21,6 +21,7 @@ from kickcool import (
     corrected_steady_state,
     damping_propagator,
     default_n_max,
+    dynamics,
     kick_oracle,
     mean_phonon,
     steady_state_analytic,
@@ -277,3 +278,36 @@ def test_one_period_conserves_probability(params, weights):
     assert abs(kicked.sum() - 1.0) <= 1e-12
     assert abs(damped.sum() - 1.0) <= 1e-12
     assert kicked.min() >= -1e-12
+
+
+@st.composite
+def band_steps(draw):
+    """Kick-plus-damping bands at n_th 0..1e2 and n_max <= 60, a step
+    kappa*t in 1e-3..10, and a distribution to step."""
+    params = replace(draw(protocols()), n_th=draw(st.floats(0.0, 1e2)))
+    n_max = draw(st.integers(1, 60))
+    gen = build_generator(params, build_kick_map(params.g, params.tau, params.p_e, n_max), n_max)
+    t = 10.0 ** draw(st.floats(-3.0, 1.0)) / params.kappa
+    weights = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n_max + 1, max_size=n_max + 1))
+    )
+    assume(weights.sum() > 0.0)
+    return gen, t, weights / weights.sum()
+
+
+@settings(derandomize=True, max_examples=60)
+@given(band_steps())
+def test_one_step_conserves_probability(case):
+    gen, t, populations = case
+    stepped = dynamics._BandStepper(gen.up, gen.down, t) @ populations
+    assert abs(stepped.sum() - 1.0) <= 1e-13
+    assert stepped.min() >= -1e-13
+
+
+@settings(derandomize=True, max_examples=60)
+@given(band_steps())
+def test_two_steps_of_t_are_one_step_of_2t(case):
+    gen, t, populations = case
+    half = dynamics._BandStepper(gen.up, gen.down, t)
+    whole = dynamics._BandStepper(gen.up, gen.down, 2.0 * t)
+    assert np.abs(half @ (half @ populations) - whole @ populations).max() <= 1e-12
