@@ -34,7 +34,7 @@ from .dynamics import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from .errors import ConvergenceError, DegenerateKernelError, DiagonalClosureError
+from .errors import ConvergenceError, DegenerateKernelError
 from .model import (
     KickMap,
     ProtocolParams,
@@ -66,7 +66,6 @@ MAX_STROBE_LEVELS = 750_000
 NUMERICAL_ERRORS = (
     DegenerateKernelError,
     ConvergenceError,
-    DiagonalClosureError,
     ValueError,
     FloatingPointError,
 )

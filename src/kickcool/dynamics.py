@@ -62,15 +62,30 @@ def _on_first_call(module: str, name: str):
     return call
 
 
-# uncalled: bench/worker.py counts calls through these two bindings
+# uncalled: bench/worker.py counts calls through these four bindings
 solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
 expm = _on_first_call("scipy.linalg", "expm")
 solve_banded = _on_first_call("scipy.linalg", "solve_banded")
-svd = _on_first_call("scipy.linalg", "svd")
-zgttrf = _on_first_call("scipy.linalg.lapack", "zgttrf")
-zgttrs = _on_first_call("scipy.linalg.lapack", "zgttrs")
-diags = _on_first_call("scipy.sparse", "diags")
 splu = _on_first_call("scipy.sparse.linalg", "splu")
+svd = _on_first_call("scipy.linalg", "svd")
+get_lapack_funcs = _on_first_call("scipy.linalg.lapack", "get_lapack_funcs")
+
+
+def _tridiagonal_lu(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+    """``solve(rhs)`` for the tridiagonal matrix with these bands: the package's one LU.
+
+    LAPACK ``?gttrf`` with partial pivoting, real or complex as the bands
+    are, then ``?gttrs`` per right-hand side.  Both work in place, so
+    callers pass arrays they own: the bands become the factors, and rhs the
+    solution.  An exactly zero pivot raises FloatingPointError.
+    """
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, main, upper))
+    *factors, info = gttrf(
+        lower, main, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
+    )
+    if info:
+        raise FloatingPointError(f"tridiagonal factorisation failed (info {info})")
+    return lambda rhs: gttrs(*factors, rhs, overwrite_b=True)[0]
 
 
 def _diagonal(up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -215,6 +230,12 @@ def _check_kick(params: ProtocolParams, kick: KickMap, n_max: int, what: str) ->
         )
 
 
+def _damping_bands(params: ProtocolParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damping-only (up, down): kappa*n_th*l and kappa*(n_th+1)*l over l = 1..n_max."""
+    levels = np.arange(1, n_max + 1, dtype=float)
+    return params.kappa * params.n_th * levels, params.kappa * (params.n_th + 1.0) * levels
+
+
 def build_generator(
     params: ProtocolParams, kick: KickMap, n_max: int
 ) -> GeneratorMatrix:
@@ -227,13 +248,10 @@ def build_generator(
     conservative (reflecting edge).
     """
     _check_kick(params, kick, n_max, "generator")
-    levels = np.arange(1, n_max + 1, dtype=float)
     ce2 = kick.ce2[:n_max]
-    up = params.kappa * params.n_th * levels + params.r_a * params.p_e * ce2
-    down = (
-        params.kappa * (params.n_th + 1.0) * levels
-        + params.r_a * (1.0 - params.p_e) * ce2
-    )
+    up, down = _damping_bands(params, n_max)
+    up += params.r_a * params.p_e * ce2
+    down += params.r_a * (1.0 - params.p_e) * ce2
     return GeneratorMatrix(up=up, down=down, params=params, kick=kick)
 
 
@@ -369,11 +387,12 @@ class _BandStepper:
 
     over the eight poles z_k in the upper half plane.  Block k of one
     complex tridiagonal system holds (z_k - h*L) / w_k; the blocks are
-    uncoupled, so one LU factorisation serves the run and one solve gives
-    all eight terms.  L is far from normal on cold baths, where the
-    approximation's error on the spectrum is amplified: a step dt is
-    therefore taken in m = ceil(dt * max_l (down_l - up_l)^2 / (down_l + up_l))
-    sub-steps h = dt/m, and each sub-step restores the input's total mass.
+    uncoupled, so one ``_tridiagonal_lu`` (``zgttrf``) serves the run and
+    one solve (``zgttrs``) gives all eight terms.  L is far from normal on
+    cold baths, where the approximation's error on the spectrum is
+    amplified: a step dt is therefore taken in m = ceil(dt * max_l
+    (down_l - up_l)^2 / (down_l + up_l)) sub-steps h = dt/m, and each
+    sub-step restores the input's total mass.
     A 2-d input is stepped column by column, each exactly as a vector.
     """
 
@@ -392,12 +411,7 @@ class _BandStepper:
         # the last off-diagonal entry of a block would couple it to the next
         lower[:, :-1] = -h * up * scale
         upper[:, :-1] = -h * down * scale
-        *self._factors, info = zgttrf(
-            lower.ravel()[:-1], main.ravel(), upper.ravel()[:-1],
-            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-        )
-        if info:
-            raise FloatingPointError(f"step factorisation failed (info {info})")
+        self._solve = _tridiagonal_lu(lower.ravel()[:-1], main.ravel(), upper.ravel()[:-1])
         self._shape = main.shape
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -409,8 +423,7 @@ class _BandStepper:
         rhs = np.empty(self._shape, dtype=complex)
         for _ in range(self.substeps):
             rhs[...] = v
-            x, _ = zgttrs(*self._factors, rhs.reshape(-1, 1), overwrite_b=True)
-            v = 2.0 * x.reshape(self._shape).sum(axis=0).real
+            v = 2.0 * self._solve(rhs.ravel()).reshape(self._shape).sum(axis=0).real
             v *= mass / v.sum()
         return v
 
@@ -421,10 +434,7 @@ def damping_propagator(params: ProtocolParams, n_max: int, dt: float) -> _BandSt
     The propagator is column-stochastic; apply it to ``np.eye(n_max + 1)``
     for its matrix.
     """
-    levels = np.arange(1, n_max + 1, dtype=float)
-    up = params.kappa * params.n_th * levels
-    down = params.kappa * (params.n_th + 1.0) * levels
-    return _BandStepper(up, down, dt)
+    return _BandStepper(*_damping_bands(params, n_max), dt)
 
 
 def evolve_stroboscopic(
@@ -609,7 +619,7 @@ def _connected_blocks(up: np.ndarray, down: np.ndarray, scale: float) -> np.ndar
 def _pinned_kernel(
     up: np.ndarray, down: np.ndarray, diag: np.ndarray, pin: int
 ) -> np.ndarray:
-    """Solve G p = 0 with row ``pin`` replaced by p[pin] = 1: one sparse LU.
+    """Solve G p = 0 with row ``pin`` replaced by p[pin] = 1: one tridiagonal LU.
 
     Columns of G sum to zero, so the replaced row is minus the sum of the
     others, which still fix p up to scale; the pin fixes the scale.  The
@@ -617,13 +627,11 @@ def _pinned_kernel(
     """
     lower, main, upper = up.copy(), diag.copy(), down.copy()
     main[pin] = 1.0
-    if pin > 0:
-        lower[pin - 1] = 0.0
-    if pin < upper.size:
-        upper[pin] = 0.0
+    lower[pin - 1 : pin] = 0.0  # empty at pin 0
+    upper[pin : pin + 1] = 0.0  # empty at the top level
     rhs = np.zeros(main.size)
     rhs[pin] = 1.0
-    return splu(diags([lower, main, upper], [-1, 0, 1], format="csc")).solve(rhs)
+    return _tridiagonal_lu(lower, main, upper)(rhs)
 
 
 def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
@@ -637,7 +645,7 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
     it.  Components of up to 600 levels are densified for an SVD with an
     explicit one-dimensional-kernel check at relative tolerance 1e-8.
     Larger ones stay on the bands: G p = 0 with one row replaced by
-    p[pin] = 1 is a tridiagonal system, factorised by one sparse LU.  The
+    p[pin] = 1 is a tridiagonal system, factorised by ``_tridiagonal_lu``.  The
     pin starts at level 0, or at the highest level that cannot descend (the
     levels below it drain upwards and hold no mass), and moves to the
     solution's most populated level if that is another one; the residual
@@ -678,7 +686,7 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
             peak = int(np.argmax(vec))
             if peak != pin:
                 vec = _pinned_kernel(up, down, diag, peak)
-        except RuntimeError as exc:  # SuperLU: the pinned system is singular
+        except FloatingPointError as exc:  # the pinned system is singular
             raise DegenerateKernelError(f"pinned solve failed: {exc}") from exc
         vec = vec / vec.sum()
         residual = np.abs(_apply(up, diag, down, vec)).max()
@@ -705,42 +713,34 @@ def steady_state_longtime(gen: GeneratorMatrix) -> SteadyStateResult:
     """Steady state by marching the dynamics until dP/dt vanishes.
 
     Starts from the bath's thermal distribution and takes up to 400
-    unconditionally stable implicit-Euler macro-steps (banded solves), whose
-    fixed point satisfies G P = 0 exactly; iteration stops once the
+    unconditionally stable implicit-Euler macro-steps (I - dt*G) P' = P,
+    each one solve on a single ``_tridiagonal_lu`` of I - dt*G; their fixed
+    point satisfies G P = 0 exactly.  Iteration stops once the
     gap-normalized residual ||G P||_inf / gap_rate is at 1e-12 or has
     stopped improving at the floating-point floor.
     """
-    size = gen.n_max + 1
-    up, down = gen.up, gen.down
     scale = np.abs(gen.diag).max()
     if scale == 0.0:
         raise DegenerateKernelError("generator is identically zero")
     if gen.params.kappa > 0:
         gap = gen.params.kappa
     else:
-        positive = down[down > 1e-15 * scale]
+        positive = gen.down[gen.down > 1e-15 * scale]
         if positive.size == 0:
             raise DegenerateKernelError("no relaxation channel: gap estimate is zero")
         gap = positive.min()
     dt = 20.0 / gap
-
-    # banded storage of (I - dt*G) for solve_banded
-    ab = np.zeros((3, size))
-    ab[0, 1:] = -dt * down
-    ab[1, :] = 1.0 - dt * gen.diag
-    ab[2, :-1] = -dt * up
+    solve = _tridiagonal_lu(-dt * gen.up, 1.0 - dt * gen.diag, -dt * gen.down)
 
     state = thermal_distribution(gen.params.n_th, gen.n_max).populations.copy()
-    best = state
-    best_res = np.inf
-    stall = 0
+    best_res, stall = np.inf, 0
     for _ in range(400):
-        state = solve_banded((1, 1), ab, state)
-        state = np.maximum(state, 0.0)
+        state = solve(state)  # in place: best keeps its own copy
+        np.maximum(state, 0.0, out=state)
         state /= state.sum()
         res = np.abs(gen.apply(state)).max() / gap
         if res < best_res:
-            best, best_res, stall = state, res, 0
+            best, best_res, stall = state.copy(), res, 0
         else:
             stall += 1
         if best_res <= 1e-12 or stall >= 6:

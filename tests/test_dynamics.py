@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,25 @@ def demo_setup(n_max=60):
     params = make_params(1.7, 133.0, np.pi / 8.0)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     return params, kick, build_generator(params, kick, n_max)
+
+
+def count_lu(monkeypatch):
+    """Count the factorisations of ``dynamics._tridiagonal_lu`` and their solves."""
+    counts = Counter()
+    lu = dynamics._tridiagonal_lu
+
+    def counting(*bands):
+        counts["factorisations"] += 1
+        solve = lu(*bands)
+
+        def counted_solve(rhs):
+            counts["solves"] += 1
+            return solve(rhs)
+
+        return counted_solve
+
+    monkeypatch.setattr(dynamics, "_tridiagonal_lu", counting)
+    return counts
 
 
 class TestGenerator:
@@ -294,19 +314,12 @@ class TestEvolve:
 
     def test_linspace_grid_costs_one_factorisation(self, monkeypatch):
         params, _, gen = demo_setup()
-        factorisations = []
-        zgttrf = dynamics.zgttrf
-
-        def counting(*args, **kwargs):
-            factorisations.append(args)
-            return zgttrf(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "zgttrf", counting)
+        counts = count_lu(monkeypatch)
         t_end = 120.0 / params.r_a
         times = np.linspace(0.0, t_end, 481)
         assert np.unique(np.diff(times)).size > 1  # the gaps differ in their last bits
         evolve(thermal_distribution(1.7, 60), gen, t_end, sample_times=times)
-        assert len(factorisations) == 1
+        assert counts["factorisations"] == 1
 
 
 class TestIntegratorNoise:
@@ -615,13 +628,9 @@ class TestPinnedNullSpace:
         kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
         analytic = steady_state_analytic(params, kick, n_max).populations.populations
         assert analytic.argmax() != 0
-        solves = []
-        splu = dynamics.splu
-        monkeypatch.setattr(
-            dynamics, "splu", lambda matrix: solves.append(matrix) or splu(matrix)
-        )
+        counts = count_lu(monkeypatch)
         numeric = steady_state_numeric(build_generator(params, kick, n_max))
-        assert len(solves) == 2
+        assert counts["factorisations"] == 2
         assert np.abs(numeric.populations.populations - analytic).max() < 1e-13
 
     def test_singular_pinned_system_is_degenerate(self):
@@ -656,6 +665,17 @@ class TestPinnedNullSpace:
         assert np.abs(
             result.populations.populations - analytic.populations.populations
         ).max() < 1e-12
+
+
+class TestSteadyStateLongtime:
+    @pytest.mark.parametrize("n_max", [60, 4118])
+    def test_factorises_once_per_call(self, monkeypatch, n_max):
+        # every implicit-Euler step solves the same system I - dt*G
+        _, _, gen = demo_setup(n_max)
+        counts = count_lu(monkeypatch)
+        steady_state_longtime(gen)
+        assert counts["factorisations"] == 1
+        assert counts["solves"] > 1
 
 
 class TestSolverAgreement:
