@@ -62,6 +62,12 @@ MAX_SAMPLED_POPULATIONS = 2 * 10**7
 # so a run at the limit peaks near 585 MB, beside the 597 MB of a steady run
 # at MAX_LEVELS; the presets' largest truncation, n_th 1000, peaks at 86 MB
 MAX_STROBE_LEVELS = 750_000
+# most rows a run may write: evolve samples, strobe's 2 * kicks + 1 samples or
+# sweep grid points.  A run holds its rows until it writes them, about 270 bytes
+# each (peak RSS per row: sweep 272, evolve 214, strobe 207 bytes), so a run at
+# the limit holds about 540 MB of rows, beside the 597 MB of a steady run at
+# MAX_LEVELS
+MAX_ROWS = 2 * 10**6
 # what a run reports as a numerical failure (exit 3)
 NUMERICAL_ERRORS = (
     DegenerateKernelError,
@@ -73,6 +79,12 @@ NUMERICAL_ERRORS = (
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
+
+
+def _check_rows(mode: str, rows: int) -> None:
+    """Raise ConfigError if a run would write more than MAX_ROWS rows."""
+    if rows > MAX_ROWS:
+        raise ConfigError(f"{mode} would write {rows} rows, above the row limit of {MAX_ROWS}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,10 @@ class RunConfig:
             raise ConfigError("t_end_ra must be positive and finite")
         if self.n_kicks < 0:
             raise ConfigError("kicks must be non-negative")
+        if self.mode == "evolve":
+            _check_rows(self.mode, self.samples)
+        if self.mode == "strobe":
+            _check_rows(self.mode, 2 * self.n_kicks + 1)
         if self.mode in ("evolve", "strobe", "device") and self.protocol.r_a <= 0:
             raise ConfigError(f"{self.mode} mode needs r_a > 0 to fix the kick period")
         if self.mode in ("steady", "sweep") and self.protocol.kappa <= 0:
@@ -139,6 +155,10 @@ class RunConfig:
                 raise ConfigError("sweep mode needs a [sweep] section or preset")
             if self.sweep.with_fidelity and self.env is None:
                 raise ConfigError("with_fidelity sweeps need a qubit environment")
+            spec = self.sweep
+            _check_rows(
+                self.mode, len(spec.n_th_grid) * len(spec.ra_over_kappa) * len(spec.p_values)
+            )
 
 
 # --- built-in presets --------------------------------------------------------
@@ -298,14 +318,19 @@ def _sweep_from_section(section: configparser.SectionProxy) -> SweepSpec:
     count = int(count_val)
     if count < 1 or not 0 < n_min <= n_max_val:
         raise ConfigError("sweep grid must be non-empty with 0 < n_th_min <= n_th_max")
+    ra_over_kappa = _float_list(section, "ra_over_kappa")
+    p_values = _float_list(section, "p_excited") or (0.0,)
+    # before np.logspace allocates the n_th grid, whose count points a valid
+    # grid writes at least once; an empty ra list fails in SweepSpec
+    _check_rows("sweep", count * max(len(ra_over_kappa), 1) * len(p_values))
     if count == 1:
         grid: tuple[float, ...] = (n_min,)
     else:
         grid = tuple(np.logspace(math.log10(n_min), math.log10(n_max_val), count))
     return SweepSpec(
         n_th_grid=grid,
-        ra_over_kappa=_float_list(section, "ra_over_kappa"),
-        p_values=_float_list(section, "p_excited") or (0.0,),
+        ra_over_kappa=ra_over_kappa,
+        p_values=p_values,
         with_fidelity=section.getboolean("with_fidelity", fallback=False),
     )
 
@@ -341,16 +366,19 @@ def load_config_file(path: str) -> dict:
 # --- output ------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: str, columns: list[str], rows: list[tuple]) -> None:
+    """Header and rows, each row formatted by one template.
+
+    A column is typed by its first row: a number prints with 17 significant
+    digits, which gives an int below 1e17 as str does, and anything else as str.
+    """
+    template = ",".join(
+        "%.17g" if isinstance(v, (int, float)) and not isinstance(v, bool) else "%s"
+        for v in (rows[0] if rows else ())
+    ) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.writelines(template % row for row in rows)
 
 
 def _write_json(path: str, metadata: dict, columns: list[str], rows: list[tuple]) -> None:
@@ -414,10 +442,8 @@ def _trace_output(
     params: ProtocolParams, n_max: int, trace: dynamics.EvolutionTrace
 ) -> tuple[dict, list[str], list[tuple]]:
     """Metadata and t_ra, mean_n, p0 rows of an evolve or strobe trace."""
-    rows = [
-        (float(t * params.r_a), float(m), float(p))
-        for t, m, p in zip(trace.times, trace.mean_n, trace.p0)
-    ]
+    t_ra = (trace.times * params.r_a).tolist()
+    rows = list(zip(t_ra, trace.mean_n.tolist(), trace.p0.tolist()))
     return _params_metadata(params, n_max), ["t_ra", "mean_n", "p0"], rows
 
 

@@ -31,7 +31,6 @@ from .model import (
     KickMap,
     PhononDistribution,
     ProtocolParams,
-    _check_populations,
     _kick_vector,
     _level_mean,
     thermal_distribution,
@@ -255,31 +254,11 @@ def build_generator(
     return GeneratorMatrix(up=up, down=down, params=params, kick=kick)
 
 
-def _checked_samples(block: np.ndarray) -> np.ndarray:
-    """Apply the distribution invariants to every row of a (samples, levels) block.
-
-    The banded stepper undershoots zero by less than 1e-13, so an entry
-    below the model-core clamp of -1e-12 means the step lost its accuracy:
-    it raises ConvergenceError, a numerical failure rather than a bad input.
-    Anything less is rounding noise, which _check_populations clamps.  Tail
-    mass is checked once per run by the caller, not per sample.  Works in
-    place and returns the block.
-    """
-    lowest = block.min()
-    if lowest < NEG_CLAMP:
-        raise ConvergenceError(
-            f"stepped population went negative ({lowest:.3e}); the step did "
-            "not meet its accuracy"
-        )
-    return _check_populations(block, check_tail=False)
-
-
-def _step_groups(steps: np.ndarray, tol: float) -> list[int]:
-    """A group label for each step: sorted neighbours within tol share one."""
-    order = np.argsort(steps, kind="stable")
-    labels = np.empty(steps.size, dtype=np.intp)
-    labels[order] = np.cumsum(np.r_[True, np.diff(steps[order]) > tol])
-    return labels.tolist()
+def _warn_tail(top: float, run: str) -> None:
+    """Warn once, at the public caller, if a run's top level exceeded TAIL_TOL."""
+    if top > TAIL_TOL:
+        msg = f"tail mass reached {top:.3e} during the {run}"
+        warnings.warn(msg, TruncationOverflowWarning, stacklevel=3)
 
 
 def evolve(
@@ -293,14 +272,12 @@ def evolve(
 
     Each sample is the previous one (the initial distribution before the
     first) advanced by exp(dt*G) over the gap dt between them, on the
-    banded stepper that ``damping_propagator`` also returns; a sample at
-    t = 0 is the initial distribution itself.  Gaps that differ by at most
-    four ulps of the last sample time, which is all rounding of the sample
-    times can make them differ, are one step: every gap of an
-    ``np.linspace`` grid reuses one factorisation, built for the first gap
-    of its group, and a factorisation is dropped after its group's last
-    step.  The samples are checked as one block by ``_checked_samples``,
-    and a top level that grows past TAIL_TOL warns once.
+    banded stepper that ``damping_propagator`` also returns, which checks
+    every state it makes; a sample at t = 0 is the initial distribution
+    itself.  One stepper is kept, and rebuilt only for a gap that differs
+    from its own by more than four ulps of the last sample time (all that
+    rounding of the times can make), so an ``np.linspace`` grid costs one
+    factorisation.  A top level that grows past TAIL_TOL warns once.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -316,30 +293,19 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
 
-    steps = np.diff(times, prepend=0.0)
-    labels = _step_groups(steps, 4.0 * np.spacing(times[-1]))
-    last_step = {label: i for i, label in enumerate(labels)}
-    steppers: dict[int, _BandStepper] = {}
+    tol = 4.0 * np.spacing(times[-1])
+    stepper, built_for = None, math.nan
     state = initial.populations
     block = np.empty((times.size, state.size))
-    for i, label in enumerate(labels):
-        if steps[i] > 0.0:
-            if label not in steppers:
-                steppers[label] = _BandStepper(gen.up, gen.down, steps[i])
-            state = steppers[label] @ state
-            if last_step[label] == i:
-                del steppers[label]
+    for i, step in enumerate(np.diff(times, prepend=0.0)):
+        if step > 0.0:
+            if not abs(step - built_for) <= tol:
+                stepper, built_for = _BandStepper(gen.up, gen.down, step), step
+            state = stepper @ state
         block[i] = state
 
-    block = _checked_samples(block)
     mean_n = _level_mean(np.arange(block.shape[1], dtype=float), block)
-    tail_seen = block[:, -1].max()
-    if tail_seen > TAIL_TOL:
-        warnings.warn(
-            f"tail mass grew to {tail_seen:.3e} during the evolution",
-            TruncationOverflowWarning,
-            stacklevel=2,
-        )
+    _warn_tail(block[:, -1].max(), "evolution")
     snapshots = None
     if keep_snapshots:
         snapshots = [PhononDistribution(row, check_tail=False) for row in block]
@@ -377,7 +343,7 @@ class _BandStepper:
     """exp(dt*L) @ v for the tridiagonal generator L with these rate bands.
 
     ``damping_propagator`` builds it from the damping-only bands for one
-    strobe period, ``evolve`` from the generator's bands for each gap
+    strobe period, ``evolve`` from the generator's bands for the gaps
     between its samples.
 
     exp(x) is replaced by the rational approximation above, whose poles
@@ -391,9 +357,13 @@ class _BandStepper:
     one solve (``zgttrs``) gives all eight terms.  L is far from normal on
     cold baths, where the approximation's error on the spectrum is
     amplified: a step dt is therefore taken in m = ceil(dt * max_l
-    (down_l - up_l)^2 / (down_l + up_l)) sub-steps h = dt/m, and each
-    sub-step restores the input's total mass.
-    A 2-d input is stepped column by column, each exactly as a vector.
+    (down_l - up_l)^2 / (down_l + up_l)) sub-steps h = dt/m.
+
+    Each sub-step holds the one clamp rule of stepped populations: an entry
+    below NEG_CLAMP or a NaN raises ConvergenceError (the stepper undershoots
+    zero by less than 1e-13), a smaller undershoot is clamped to zero, and
+    the input's total mass is restored.  A 2-d input is stepped column by
+    column, each exactly as a vector; no returned array is reused.
     """
 
     def __init__(self, up: np.ndarray, down: np.ndarray, dt: float) -> None:
@@ -413,6 +383,7 @@ class _BandStepper:
         upper[:, :-1] = -h * down * scale
         self._solve = _tridiagonal_lu(lower.ravel()[:-1], main.ravel(), upper.ravel()[:-1])
         self._shape = main.shape
+        self._rhs = np.empty(main.size, dtype=complex)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """exp(dt*L) @ v, one banded solve per sub-step."""
@@ -420,10 +391,19 @@ class _BandStepper:
         if v.ndim == 2:
             return np.stack([self @ column for column in v.T], axis=1)
         mass = v.sum()
-        rhs = np.empty(self._shape, dtype=complex)
+        blocks = self._rhs.reshape(self._shape)
         for _ in range(self.substeps):
-            rhs[...] = v
-            v = 2.0 * self._solve(rhs.ravel()).reshape(self._shape).sum(axis=0).real
+            blocks[...] = v
+            # half the stepped state: the factor 2 cancels in the mass step
+            v = self._solve(self._rhs).real.reshape(self._shape).sum(axis=0)
+            lowest = v.min()
+            if not lowest >= 0.5 * NEG_CLAMP:  # a NaN fails too
+                raise ConvergenceError(
+                    f"stepped population went negative ({2.0 * lowest:.3e}); the "
+                    "step did not meet its accuracy"
+                )
+            if lowest < 0.0:
+                np.maximum(v, 0.0, out=v)
             v *= mass / v.sum()
         return v
 
@@ -450,7 +430,9 @@ def evolve_stroboscopic(
     kick, so the steady-state sawtooth is visible.  Post-kick samples are
     timestamped min(tau, 0.5/r_a) after the kick instant to keep the trace
     times strictly increasing.  Samples alternate pre/post after the t=0
-    entry: trace.mean_n[1::2] are pre-kick, [2::2] post-kick values.
+    entry: trace.mean_n[1::2] are pre-kick, [2::2] post-kick values.  The
+    damping stepper checks every pre-kick state; a kick's weights are
+    non-negative.  A top level above TAIL_TOL in any recorded state warns.
     """
     if n_kicks < 0:
         raise ValueError("n_kicks must be non-negative")
@@ -465,12 +447,14 @@ def evolve_stroboscopic(
     times: list[float] = []
     mean_n: list[float] = []
     p0: list[float] = []
+    top: list[float] = []
     kept: list[np.ndarray] | None = [] if keep_snapshots else None
 
     def record(t: float, p: np.ndarray) -> None:
         times.append(t)
         mean_n.append(float(_level_mean(n, p)))
         p0.append(float(p[0]))
+        top.append(float(p[-1]))
         if kept is not None:
             kept.append(p)
 
@@ -481,16 +465,10 @@ def evolve_stroboscopic(
         record(k * period, state)
         state = _kick_vector(state, kick)
         record(k * period + offset, state)
-    if state[-1] > TAIL_TOL:
-        warnings.warn(
-            f"tail mass reached {state[-1]:.3e} during the stroboscopic run",
-            TruncationOverflowWarning,
-            stacklevel=2,
-        )
+    _warn_tail(max(top), "stroboscopic run")
     snapshots = None
     if kept is not None:
-        block = _checked_samples(np.array(kept))
-        snapshots = [PhononDistribution(row, check_tail=False) for row in block]
+        snapshots = [PhononDistribution(p, check_tail=False) for p in kept]
     return EvolutionTrace(times=times, mean_n=mean_n, p0=p0, snapshots=snapshots)
 
 

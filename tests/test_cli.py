@@ -16,6 +16,7 @@ from kickcool import (
 )
 from kickcool.cli import (
     MAX_LEVELS,
+    MAX_ROWS,
     MAX_SAMPLED_POPULATIONS,
     MAX_STROBE_LEVELS,
     PRESETS,
@@ -384,6 +385,20 @@ class TestErrorPaths:
         assert err == [f"kickcool: numerical failure: {stage}: solver gave up"]
         assert not out.exists()
 
+    def test_undershooting_strobe_is_numerical_failure(
+        self, tmp_path, capsys, undershooting_solve
+    ):
+        # a damping period whose solve undershoots zero by 2e-11 at the top level
+        out = tmp_path / "x.csv"
+        assert main(["strobe", "--preset", "fig2", "--output", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "kickcool: numerical failure: strobe (damping and kicks): stepped "
+            "population went negative"
+        )
+        assert not out.exists()
+
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
         assert main(["evolve", "--no-such-flag"]) == 2
@@ -567,6 +582,60 @@ class TestErrorPaths:
                 "--n-max", str(n_max), "--samples", str(samples)]
         assert main(argv) == 3
         assert seen == [samples * (n_max + 1)]
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            # both used to exit 1 under an address limit: np.logspace of a
+            # 1e8-point n_th grid, and strobe's lists of 2e8 + 1 samples
+            (["sweep", "--config"], 200000000),
+            (["strobe", "--preset", "fig2", "--kicks", "100000000"], 200000001),
+            (["strobe", "--preset", "fig2", "--kicks", str(MAX_ROWS // 2)], MAX_ROWS + 1),
+            (["evolve", "--preset", "fig2", "--samples", str(MAX_ROWS + 1)], MAX_ROWS + 1),
+        ],
+    )
+    def test_rows_beyond_limit_are_config_errors(self, tmp_path, capsys, argv, rows):
+        if argv[0] == "sweep":
+            cfg = tmp_path / "sweep.ini"
+            cfg.write_text(SWEEP_CONFIG.replace("n_th_count = 3", "n_th_count = 100000000"))
+            argv = argv + [str(cfg)]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} would write {rows} rows, above the row limit of {MAX_ROWS}" in err
+        assert not out.exists()
+
+    def test_sweep_spec_beyond_row_limit_is_config_error(self):
+        spec = SweepSpec(
+            n_th_grid=tuple(np.linspace(0.1, 1.0, MAX_ROWS // 2 + 1)),
+            ra_over_kappa=(100.0, 1000.0),
+            p_values=(0.0,),
+        )
+        with pytest.raises(ConfigError, match=f"row limit of {MAX_ROWS}"):
+            RunConfig(mode="sweep", output="x.csv", protocol=PRESETS["fig3"]()["protocol"],
+                      sweep=spec)
+
+    @pytest.mark.filterwarnings("ignore::kickcool.TruncationOverflowWarning")
+    @pytest.mark.parametrize(
+        "argv, seen",
+        [
+            (["strobe", "--kicks", str((MAX_ROWS - 1) // 2)], (MAX_ROWS - 1) // 2),
+            # within the sampled-population limit too: MAX_ROWS samples of 2 levels
+            (["evolve", "--samples", str(MAX_ROWS)], MAX_ROWS),
+        ],
+    )
+    def test_rows_at_limit_are_accepted(self, tmp_path, monkeypatch, argv, seen):
+        # stop at the solver: the run passed every configuration check
+        runs = []
+
+        def stop(*args, **kwargs):
+            runs.append(args[3] if argv[0] == "strobe" else kwargs["sample_times"].size)
+            raise ConvergenceError("stopped before the run")
+
+        monkeypatch.setattr(cli, "evolve_stroboscopic" if argv[0] == "strobe" else "evolve", stop)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--preset", "fig2", "--n-max", "1", "--output", str(out)]) == 3
+        assert runs == [seen]
 
     def test_unwritable_output(self, tmp_path):
         assert (

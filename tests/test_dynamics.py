@@ -14,6 +14,7 @@ from kickcool import (
     GeneratorMatrix,
     NonNormalizableError,
     ProtocolParams,
+    TAIL_TOL,
     TruncationOverflowWarning,
     build_generator,
     build_kick_map,
@@ -321,35 +322,77 @@ class TestEvolve:
         evolve(thermal_distribution(1.7, 60), gen, t_end, sample_times=times)
         assert counts["factorisations"] == 1
 
+    def test_alternating_gaps_match_fresh_steppers(self, monkeypatch):
+        # one stepper at a time: each change of gap builds a new one, and
+        # every sample is bitwise what a fresh stepper for its gap gives
+        params, _, gen = demo_setup()
+        gaps = np.tile([0.5, 0.75], 4) / params.r_a
+        times = np.cumsum(np.r_[0.0, gaps])
+        initial = thermal_distribution(1.7, 60)
+        counts = count_lu(monkeypatch)
+        trace = evolve(initial, gen, times[-1], sample_times=times, keep_snapshots=True)
+        assert counts["factorisations"] == gaps.size
+        monkeypatch.undo()
+        state = initial.populations
+        assert trace.snapshots[0].populations.tobytes() == state.tobytes()
+        for gap, snapshot in zip(np.diff(times), trace.snapshots[1:]):
+            state = dynamics._BandStepper(gen.up, gen.down, gap) @ state
+            assert snapshot.populations.tobytes() == state.tobytes()
+
 
 class TestIntegratorNoise:
-    """Samples of evolve and strobe snapshots: undershoot down to -1e-12 is noise."""
+    """Every stepped state: undershoot down to -1e-12 is noise, below it a failure."""
 
     @staticmethod
-    def block():
+    def populations():
         rng = np.random.default_rng(5)
-        block = rng.random((4, 12))
-        block /= block.sum(axis=1, keepdims=True)
-        return block
+        p = rng.random(12)
+        return p / p.sum()
+
+    @staticmethod
+    def identity():
+        # dt = 0: one sub-step of the rational exponential at 0, exp(0) = 1
+        return dynamics._BandStepper(np.ones(11), 2.0 * np.ones(11), 0.0)
+
+    def test_zero_step_returns_its_input(self):
+        p = self.populations()
+        out = self.identity() @ p
+        assert out is not p
+        assert np.abs(out - p).max() <= 4e-16
 
     def test_undershoot_row_is_clamped_and_renormalised(self):
-        block = self.block()
-        # the row still sums to 1; clamping the dip adds 5e-13 of mass
-        block[2, 6] += block[2, 5] + 5e-13
-        block[2, 5] = -5e-13
-        expected = block.copy()
-        row = np.maximum(block[2], 0.0)
-        expected[2] = row / row.sum()
-        out = dynamics._checked_samples(block)
-        assert out is block
-        assert out.tobytes() == expected.tobytes()
+        p = self.populations()
+        # the vector still sums to 1; clamping the dip adds 5e-13 of mass
+        p[6] += p[5] + 5e-13
+        p[5] = -5e-13
+        out = self.identity() @ p
+        assert out[5] == 0.0
+        assert out.min() >= 0.0
+        assert out.sum() == pytest.approx(p.sum(), abs=2e-16)
+        clamped = np.maximum(p, 0.0)
+        assert np.abs(out - clamped * (p.sum() / clamped.sum())).max() <= 4e-16
 
     def test_undershoot_beyond_tolerance_raises(self):
-        block = self.block()
-        block[1, 6] += block[1, 5] + 2e-12
-        block[1, 5] = -2e-12
+        p = self.populations()
+        p[6] += p[5] + 2e-12
+        p[5] = -2e-12
         with pytest.raises(ConvergenceError, match="went negative"):
-            dynamics._checked_samples(block)
+            self.identity() @ p
+
+    def test_nan_raises(self):
+        p = self.populations()
+        p[3] = np.nan
+        with pytest.raises(ConvergenceError, match="went negative"):
+            self.identity() @ p
+
+    def test_returned_states_are_never_reused(self):
+        params, _, gen = demo_setup()
+        stepper = dynamics._BandStepper(gen.up, gen.down, 1.0 / params.r_a)
+        first = stepper @ thermal_distribution(1.7, 60).populations
+        kept = first.copy()
+        second = stepper @ first
+        assert second is not first
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestStroboscopic:
@@ -426,6 +469,23 @@ class TestStroboscopic:
         trace = evolve_stroboscopic(initial, params, kick, 400)
         assert time.perf_counter() - start < 3.0
         assert trace.mean_n[-1] < trace.mean_n[0]
+
+    def test_undershooting_propagator_raises(self, undershooting_solve):
+        # a pre-kick state below -1e-12 used to pass into the trace unchecked
+        params, kick, _ = demo_setup()
+        with pytest.raises(ConvergenceError, match="went negative"):
+            evolve_stroboscopic(thermal_distribution(1.7, 60), params, kick, 5)
+
+    def test_tail_warning_reads_every_recorded_state(self):
+        # the top level of a cold chain drains within a few kicks: it holds
+        # more than TAIL_TOL in the early states only
+        params = make_params(0.0, 133.0, np.pi / 8.0)
+        kick = build_kick_map(params.g, params.tau, params.p_e, 10)
+        with pytest.warns(TruncationOverflowWarning, match="during the stroboscopic run"):
+            trace = evolve_stroboscopic(
+                number_state(10, 10), params, kick, 40, keep_snapshots=True
+            )
+        assert trace.snapshots[-1].populations[-1] <= TAIL_TOL
 
     def test_damping_propagator_is_stochastic(self):
         params, _, _ = demo_setup()
