@@ -13,9 +13,13 @@ product formula, a direct null-space solve, and long-time integration.
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -44,10 +48,12 @@ LONG_TIME = "long-time"
 def _on_first_call(module: str, name: str):
     """Stand-in for ``module.name`` that imports ``module`` on its first call.
 
-    Importing scipy costs several times the work of a sweep or device run,
-    and neither calls it; solvers pay the import when they first need it.
-    Call sites go through the module-level names bound below, so a wrapper
-    set on one of those names sees every call.
+    It serves the null space's dense SVD and the uncalled bindings below,
+    which the benchmark counts through; the tridiagonal LU loads LAPACK
+    through ``_flapack`` instead.  Importing scipy costs several times the
+    work of a sweep or device run, and neither calls it.  Call sites go
+    through the module-level names bound below, so a wrapper set on one of
+    those names sees every call.
     """
     target = None
 
@@ -67,18 +73,48 @@ expm = _on_first_call("scipy.linalg", "expm")
 solve_banded = _on_first_call("scipy.linalg", "solve_banded")
 splu = _on_first_call("scipy.sparse.linalg", "splu")
 svd = _on_first_call("scipy.linalg", "svd")
-get_lapack_funcs = _on_first_call("scipy.linalg.lapack", "get_lapack_funcs")
+
+
+def _flapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``.
+
+    Importing it by name runs ``scipy/linalg/__init__.py``, which loads all
+    of ``scipy.linalg`` for the four routines the LU calls and costs about
+    half a cold ``evolve`` run.  So unless the module is loaded already, the
+    extension file is loaded from beside that ``__init__`` and registered
+    under its own name; a later ``import scipy.linalg`` then finds it and
+    uses the same routine objects.  A scipy without that file gets the
+    ordinary import.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    return importlib.import_module(name)
 
 
 def _tridiagonal_lu(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
     """``solve(rhs)`` for the tridiagonal matrix with these bands: the package's one LU.
 
-    LAPACK ``?gttrf`` with partial pivoting, real or complex as the bands
-    are, then ``?gttrs`` per right-hand side.  Both work in place, so
-    callers pass arrays they own: the bands become the factors, and rhs the
-    solution.  An exactly zero pivot raises FloatingPointError.
+    LAPACK ``?gttrf`` with partial pivoting, ``z`` for complex bands and
+    ``d`` otherwise, then ``?gttrs`` per right-hand side.  Both work in
+    place, so callers pass arrays they own: the bands become the factors,
+    and rhs the solution.  An exactly zero pivot raises FloatingPointError.
     """
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (lower, main, upper))
+    lapack = _flapack()
+    prefix = "z" if np.iscomplexobj(main) else "d"
+    gttrf, gttrs = getattr(lapack, prefix + "gttrf"), getattr(lapack, prefix + "gttrs")
     *factors, info = gttrf(
         lower, main, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True
     )

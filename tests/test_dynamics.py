@@ -183,6 +183,69 @@ class TestGenerator:
         assert peak < 20e6
 
 
+def random_bands(rng, n, dtype):
+    def draw(size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if dtype is complex else x
+
+    return draw(n - 1), draw(n), draw(n - 1), draw(n)
+
+
+class TestTridiagonalLU:
+    """``dynamics._tridiagonal_lu`` against a dense solve of the same matrix."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("diagonal", ["dominant", "small", "zero"])
+    @pytest.mark.parametrize("n", [3, 8, 301])
+    def test_matches_dense_solve(self, n, diagonal, dtype):
+        rng = np.random.default_rng(n)
+        lower, main, upper, rhs = random_bands(rng, n, dtype)
+        # a small diagonal, or a zero one but for its last entry (nonsingular
+        # at any size), needs a row swap at every step
+        if diagonal == "dominant":
+            main += 4.0
+        elif diagonal == "small":
+            main *= 1e-9
+        else:
+            main[:-1] = 0.0
+        dense = np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
+        solve = dynamics._tridiagonal_lu(lower.copy(), main.copy(), upper.copy())
+        # the factors serve every later right-hand side
+        for b in (rhs, rng.standard_normal(n).astype(dtype)):
+            expected = np.linalg.solve(dense, b)
+            got = solve(b.copy())
+            assert got.dtype == np.dtype(dtype)
+            bound = 1e-14 * np.linalg.cond(dense) * np.abs(expected).max()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "lower, main, upper",
+        [([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0])],
+        ids=["equal-rows", "zero-column"],
+    )
+    def test_exactly_zero_pivot_raises(self, lower, main, upper, dtype):
+        bands = (np.array(band, dtype=dtype) for band in (lower, main, upper))
+        with pytest.raises(FloatingPointError, match="factorisation failed"):
+            dynamics._tridiagonal_lu(*bands)
+
+    @pytest.mark.parametrize("dtype, prefix", [(np.float64, "d"), (np.complex128, "z")])
+    def test_band_dtype_picks_the_routines(self, monkeypatch, dtype, prefix):
+        lapack = dynamics._flapack()
+        used = []
+
+        class Recording:
+            def __getattr__(self, name):
+                used.append(name)
+                return getattr(lapack, name)
+
+        monkeypatch.setattr(dynamics, "_flapack", Recording)
+        off, main = np.ones(2, dtype=dtype), np.full(3, 4.0, dtype=dtype)
+        x = dynamics._tridiagonal_lu(off.copy(), main, off)(np.ones(3, dtype=dtype))
+        assert used == [prefix + "gttrf", prefix + "gttrs"]
+        assert x.dtype == dtype
+
+
 class TestEvolve:
     def test_steady_state_is_fixed_point(self):
         params, kick, gen = demo_setup()
