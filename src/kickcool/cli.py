@@ -52,20 +52,17 @@ MHZ = 1e6  # rates and angular frequencies are quoted in units of 1e6 / s
 # where the O(n_max) paths hold tens of MB; beyond it a run fails to allocate
 # (n_th = 1e15 asks for 4e16 levels)
 MAX_LEVELS = 10**6
-# most populations an evolve run may sample, samples * (n_max + 1): the run
-# holds about 16 bytes per entry (fig2, 2e4 -> 2e5 samples: 77 -> 253 MB
-# peak RSS), and 2e7 entries peaked at 378 MB, below the 597 MB of a steady
-# run at MAX_LEVELS; 481 samples fit up to n_max 41580
-MAX_SAMPLED_POPULATIONS = 2 * 10**7
-# most levels a strobe run may use: its banded damping stepper holds about
-# 0.7 kB per level (n_max 1e5 / 3e5 / 6e5 peaked at 128 / 268 / 479 MB RSS),
-# so a run at the limit peaks near 585 MB, beside the 597 MB of a steady run
-# at MAX_LEVELS; the presets' largest truncation, n_th 1000, peaks at 86 MB
-MAX_STROBE_LEVELS = 750_000
+# most levels an evolve or strobe run may use: its banded stepper holds about
+# 0.7 kB per level (fig2, n_max 1e5 / 3e5 peaked at 105 / 248 MB RSS in
+# evolve and 104 / 243 MB in strobe), so a run at the limit peaks near 580 MB
+# (evolve at n_max 749999: 578 MB), beside the 597 MB of a steady run at
+# MAX_LEVELS; the presets' largest truncation, n_th 1000, peaks at 86 MB
+MAX_STEPPED_LEVELS = 750_000
 # most rows a run may write: evolve samples, strobe's 2 * kicks + 1 samples or
 # sweep grid points.  A run holds its rows until it writes them, about 270 bytes
-# each (peak RSS per row: sweep 272, evolve 214, strobe 207 bytes), so a run at
-# the limit holds about 540 MB of rows, beside the 597 MB of a steady run at
+# each (peak RSS per row: sweep 272, evolve 214, strobe 207 bytes, nearly all
+# of it the written tuples: evolve and strobe record 24 bytes a row), so a run
+# at the limit holds about 540 MB of rows, beside the 597 MB of a steady run at
 # MAX_LEVELS
 MAX_ROWS = 2 * 10**6
 # what a run reports as a numerical failure (exit 3)
@@ -420,7 +417,7 @@ def _n_max(config: RunConfig, n_th: float) -> int:
             n_max = default_n_max(n_th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    limit = MAX_STROBE_LEVELS if config.mode == "strobe" else MAX_LEVELS
+    limit = MAX_STEPPED_LEVELS if config.mode in ("evolve", "strobe") else MAX_LEVELS
     if n_max >= limit:
         raise ConfigError(
             f"truncation n_max={n_max} needs {n_max + 1} levels, above the "
@@ -450,12 +447,6 @@ def _trace_output(
 def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
-    if config.samples * (n_max + 1) > MAX_SAMPLED_POPULATIONS:
-        raise ConfigError(
-            f"{config.samples} samples of {n_max + 1} levels are "
-            f"{config.samples * (n_max + 1)} populations, above the evolve "
-            f"limit of {MAX_SAMPLED_POPULATIONS}"
-        )
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     gen = build_generator(params, kick, n_max)
     initial = thermal_distribution(params.n_th, n_max)

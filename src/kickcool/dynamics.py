@@ -12,12 +12,14 @@ product formula, a direct null-space solve, and long-time integration.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.machinery
 import importlib.util
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,7 +113,14 @@ def _tridiagonal_lu(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
     ``d`` otherwise, then ``?gttrs`` per right-hand side.  Both work in
     place, so callers pass arrays they own: the bands become the factors,
     and rhs the solution.  An exactly zero pivot raises FloatingPointError.
+    scipy's wrappers need three unknowns, so a smaller system gains
+    decoupled identity rows, which change no pivot of its own rows.
     """
+    pad = 3 - main.size
+    if pad > 0:
+        lower, upper = np.pad(lower, (0, pad)), np.pad(upper, (0, pad))
+        solve = _tridiagonal_lu(lower, np.pad(main, (0, pad), constant_values=1), upper)
+        return lambda rhs: solve(np.pad(rhs, (0, pad)))[:-pad]
     lapack = _flapack()
     prefix = "z" if np.iscomplexobj(main) else "d"
     gttrf, gttrs = getattr(lapack, prefix + "gttrf"), getattr(lapack, prefix + "gttrs")
@@ -192,14 +201,12 @@ class EvolutionTrace:
     """Sampled observables of a population evolution.
 
     times are in seconds and strictly increasing; mean_n and p0 are the
-    mean phonon number and ground-level population at those times, and
-    snapshots, when kept, hold the distribution at each of them.
+    mean phonon number and ground-level population at those times.
     """
 
     times: np.ndarray
     mean_n: np.ndarray
     p0: np.ndarray
-    snapshots: list[PhononDistribution] | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -215,10 +222,6 @@ class EvolutionTrace:
             self.times.shape == self.mean_n.shape == self.p0.shape
         ):
             raise ValueError("times, mean_n and p0 must be 1-d of equal length")
-        if self.snapshots is not None and len(self.snapshots) != self.times.size:
-            raise ValueError(
-                f"{len(self.snapshots)} snapshots for {self.times.size} times"
-            )
         if np.any(self.p0 < -1e-12) or np.any(self.p0 > 1.0 + 1e-9):
             raise ValueError("p0 outside [0, 1]")
 
@@ -297,12 +300,29 @@ def _warn_tail(top: float, run: str) -> None:
         warnings.warn(msg, TruncationOverflowWarning, stacklevel=3)
 
 
+def _record(state: np.ndarray, moves: Iterable, size: int) -> tuple[np.ndarray, ...]:
+    """Mean phonon number, ground level and top level of each state ``moves`` make.
+
+    Each of the ``size`` moves maps the current state to the next (a
+    stepper's ``@`` or a kick), or is None to record the current state as it
+    is (a sample at t = 0).  Only the three returned arrays grow with the
+    number of moves; each mean is ``_level_mean`` of its state alone.
+    """
+    levels = np.arange(state.size, dtype=float)
+    mean_n, p0, top = np.empty(size), np.empty(size), np.empty(size)
+    for i, move in enumerate(moves):
+        if move is not None:
+            state = move(state)
+        mean_n[i] = _level_mean(levels, state)
+        p0[i], top[i] = state[0], state[-1]
+    return mean_n, p0, top
+
+
 def evolve(
     initial: PhononDistribution,
     gen: GeneratorMatrix,
     t_end: float,
     sample_times: np.ndarray | None = None,
-    keep_snapshots: bool = False,
 ) -> EvolutionTrace:
     """Step dP/dt = G P from the initial distribution through the sample times.
 
@@ -329,23 +349,17 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
 
-    tol = 4.0 * np.spacing(times[-1])
-    stepper, built_for = None, math.nan
-    state = initial.populations
-    block = np.empty((times.size, state.size))
-    for i, step in enumerate(np.diff(times, prepend=0.0)):
-        if step > 0.0:
-            if not abs(step - built_for) <= tol:
+    def gaps():
+        tol = 4.0 * np.spacing(times[-1])
+        stepper, built_for = None, math.nan
+        for step in np.diff(times, prepend=0.0):
+            if step > 0.0 and not abs(step - built_for) <= tol:
                 stepper, built_for = _BandStepper(gen.up, gen.down, step), step
-            state = stepper @ state
-        block[i] = state
+            yield stepper.__matmul__ if step > 0.0 else None
 
-    mean_n = _level_mean(np.arange(block.shape[1], dtype=float), block)
-    _warn_tail(block[:, -1].max(), "evolution")
-    snapshots = None
-    if keep_snapshots:
-        snapshots = [PhononDistribution(row, check_tail=False) for row in block]
-    return EvolutionTrace(times=times, mean_n=mean_n, p0=block[:, 0], snapshots=snapshots)
+    mean_n, p0, top = _record(initial.populations, gaps(), times.size)
+    _warn_tail(top.max(), "evolution")
+    return EvolutionTrace(times=times, mean_n=mean_n, p0=p0)
 
 
 # The (16, 16) Carathéodory-Fejér approximation of exp on (-inf, 0], from the
@@ -458,7 +472,6 @@ def evolve_stroboscopic(
     params: ProtocolParams,
     kick: KickMap,
     n_kicks: int,
-    keep_snapshots: bool = False,
 ) -> EvolutionTrace:
     """Periodic-picture run: free damping for 1/r_a, then an instant kick.
 
@@ -476,36 +489,21 @@ def evolve_stroboscopic(
     if params.r_a <= 0:
         raise ValueError("stroboscopic evolution needs r_a > 0")
     period = 1.0 / params.r_a
-    offset = min(params.tau, 0.5 * period)
-    n = np.arange(initial.populations.size, dtype=float)
-
     prop = damping_propagator(params, initial.n_max, period)
-    times: list[float] = []
-    mean_n: list[float] = []
-    p0: list[float] = []
-    top: list[float] = []
-    kept: list[np.ndarray] | None = [] if keep_snapshots else None
+    kicked = functools.partial(_kick_vector, kick=kick)
 
-    def record(t: float, p: np.ndarray) -> None:
-        times.append(t)
-        mean_n.append(float(_level_mean(n, p)))
-        p0.append(float(p[0]))
-        top.append(float(p[-1]))
-        if kept is not None:
-            kept.append(p)
+    def moves():
+        yield None
+        for _ in range(n_kicks):
+            yield prop.__matmul__
+            yield kicked
 
-    state = initial.populations
-    record(0.0, state)
-    for k in range(1, n_kicks + 1):
-        state = prop @ state
-        record(k * period, state)
-        state = _kick_vector(state, kick)
-        record(k * period + offset, state)
-    _warn_tail(max(top), "stroboscopic run")
-    snapshots = None
-    if kept is not None:
-        snapshots = [PhononDistribution(p, check_tail=False) for p in kept]
-    return EvolutionTrace(times=times, mean_n=mean_n, p0=p0, snapshots=snapshots)
+    # sample i follows kick (i + 1) // 2: pre-kick at odd i, post-kick at even
+    times = (np.arange(2 * n_kicks + 1) + 1) // 2 * period
+    times[2::2] += min(params.tau, 0.5 * period)
+    mean_n, p0, top = _record(initial.populations, moves(), times.size)
+    _warn_tail(top.max(), "stroboscopic run")
+    return EvolutionTrace(times=times, mean_n=mean_n, p0=p0)
 
 
 def kick_fluctuation(dist: PhononDistribution, kick: KickMap) -> float:

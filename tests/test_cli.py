@@ -17,8 +17,7 @@ from kickcool import (
 from kickcool.cli import (
     MAX_LEVELS,
     MAX_ROWS,
-    MAX_SAMPLED_POPULATIONS,
-    MAX_STROBE_LEVELS,
+    MAX_STEPPED_LEVELS,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -521,21 +520,23 @@ class TestErrorPaths:
         out = tmp_path / "x.csv"
         argv = [mode, "--config", str(cfg), "--output", str(out), *extra]
         assert main(argv) == 2
-        assert f"limit of {MAX_LEVELS} levels" in capsys.readouterr().err
+        limit = MAX_STEPPED_LEVELS if mode == "evolve" else MAX_LEVELS
+        assert f"{mode} limit of {limit} levels" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_strobe_truncation_beyond_limit_is_config_error(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("mode", ["strobe", "evolve"])
+    def test_stepped_truncation_beyond_limit_is_config_error(
+        self, tmp_path, capsys, mode
     ):
-        # one level more than strobe's banded damping stepper may hold
+        # one level more than the banded stepper of either mode may hold
         out = tmp_path / "x.csv"
-        argv = ["strobe", "--preset", "fig2", "--output", str(out),
-                "--n-max", str(MAX_STROBE_LEVELS)]
+        argv = [mode, "--preset", "fig2", "--output", str(out),
+                "--n-max", str(MAX_STEPPED_LEVELS)]
         assert main(argv) == 2
-        assert f"strobe limit of {MAX_STROBE_LEVELS} levels" in capsys.readouterr().err
+        assert f"{mode} limit of {MAX_STEPPED_LEVELS} levels" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_max", [4118, 40568, MAX_STROBE_LEVELS - 1])
+    @pytest.mark.parametrize("n_max", [4118, 40568, MAX_STEPPED_LEVELS - 1])
     def test_strobe_truncation_within_limit_is_accepted(
         self, tmp_path, monkeypatch, n_max
     ):
@@ -552,24 +553,15 @@ class TestErrorPaths:
         assert main(argv) == 3
         assert seen == [n_max]
 
-    @pytest.mark.parametrize("n_max", [60, 855])
-    def test_oversized_sample_block_is_config_error(self, tmp_path, capsys, n_max):
-        # one sample more than the limit allows at this truncation
-        samples = MAX_SAMPLED_POPULATIONS // (n_max + 1) + 1
-        out = tmp_path / "x.csv"
-        argv = ["evolve", "--preset", "fig2", "--output", str(out),
-                "--n-max", str(n_max), "--samples", str(samples)]
-        assert main(argv) == 2
-        assert f"evolve limit of {MAX_SAMPLED_POPULATIONS}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
-        "n_max, samples", [(855, 481), (60, MAX_SAMPLED_POPULATIONS // 61)]
+        # the largest sample block the removed population limit accepted at 61
+        # levels, and the level limit of evolve's stepper
+        "n_max, samples", [(855, 481), (60, 327868), (MAX_STEPPED_LEVELS - 1, 481)]
     )
     def test_sample_block_within_limit_is_accepted(
         self, tmp_path, monkeypatch, n_max, samples
     ):
-        # stop at the solver: the sample block passed every configuration check
+        # stop at the solver: the run passed every configuration check
         seen = []
 
         def stop(initial, gen, t_end, sample_times):
@@ -620,7 +612,6 @@ class TestErrorPaths:
         "argv, seen",
         [
             (["strobe", "--kicks", str((MAX_ROWS - 1) // 2)], (MAX_ROWS - 1) // 2),
-            # within the sampled-population limit too: MAX_ROWS samples of 2 levels
             (["evolve", "--samples", str(MAX_ROWS)], MAX_ROWS),
         ],
     )

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import time
 import tracemalloc
 from collections import Counter
@@ -25,6 +27,7 @@ from kickcool import (
     evolve_stroboscopic,
     kick_fluctuation,
     mean_phonon,
+    model,
     number_state,
     steady_state_analytic,
     steady_state_longtime,
@@ -73,6 +76,64 @@ def count_lu(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_tridiagonal_lu", counting)
     return counts
+
+
+def stepped_states(state, moves):
+    """``state``, then the state after each move in turn.
+
+    The test-side loop behind ``evolve`` and ``evolve_stroboscopic``: a move
+    is a ``dynamics._BandStepper``'s ``@`` or a kick, applied directly.
+    """
+    yield state
+    for move in moves:
+        state = move(state)
+        yield state
+
+
+def strobe_moves(params, kick, n_kicks):
+    """A strobe run's moves: one damping period, then one kick, n_kicks times."""
+    prop = damping_propagator(params, kick.n_max, 1.0 / params.r_a)
+    return [prop.__matmul__, functools.partial(model._kick_vector, kick=kick)] * n_kicks
+
+
+def observables(states):
+    """mean_n and p0 of each state, reduced as a recorded trace reduces them."""
+    states = list(states)
+    levels = np.arange(states[0].size, dtype=float)
+    return (
+        np.array([model._level_mean(levels, state) for state in states]),
+        np.array([state[0] for state in states]),
+    )
+
+
+def evolve_cell(n_th, ra_over_kappa, theta):
+    """The benchmark's evolve grid, 120 periods in 481 samples, and its states.
+
+    The states are stepped by the test-side loop with one stepper for the
+    grid's first gap, which ``evolve`` keeps for every gap of the grid.
+    """
+    params = make_params(n_th, ra_over_kappa, theta)
+    n_max = default_n_max(n_th)
+    kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+    gen = build_generator(params, kick, n_max)
+    initial = thermal_distribution(n_th, n_max)
+    times = np.linspace(0.0, 120.0 / params.r_a, 481)
+    stepper = dynamics._BandStepper(gen.up, gen.down, times[1])
+    states = stepped_states(initial.populations, [stepper.__matmul__] * (times.size - 1))
+    return gen, initial, times, states
+
+
+EVOLVE_CELLS = pytest.mark.parametrize(
+    "n_th, ra_over_kappa, theta",
+    [
+        (1.7, 200.0, 1.0),
+        (10.0, 190.0, 1.0),
+        (10.0, 12.0, 1.0),
+        (30.0, 200.0, 1.0),
+        (5.0, 1000.0, np.pi / 2.0),
+    ],
+    ids=["evolve-60", "evolve-315", "evolve-315-stiff", "evolve-855", "trapping-node"],
+)
 
 
 class TestGenerator:
@@ -196,7 +257,8 @@ class TestTridiagonalLU:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("diagonal", ["dominant", "small", "zero"])
-    @pytest.mark.parametrize("n", [3, 8, 301])
+    # scipy's wrappers take three unknowns or more: 1 and 2 are padded
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 301])
     def test_matches_dense_solve(self, n, diagonal, dtype):
         rng = np.random.default_rng(n)
         lower, main, upper, rhs = random_bands(rng, n, dtype)
@@ -221,8 +283,13 @@ class TestTridiagonalLU:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize(
         "lower, main, upper",
-        [([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0])],
-        ids=["equal-rows", "zero-column"],
+        [
+            ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]),
+            ([0.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0]),
+            ([], [0.0], []),
+            ([1.0], [1.0, 1.0], [1.0]),
+        ],
+        ids=["equal-rows", "zero-column", "one-zero-unknown", "two-equal-rows"],
     )
     def test_exactly_zero_pivot_raises(self, lower, main, upper, dtype):
         bands = (np.array(band, dtype=dtype) for band in (lower, main, upper))
@@ -289,26 +356,11 @@ class TestEvolve:
                 sample_times=np.array([0.0, 2.0]),
             )
 
-    def test_snapshots_kept_on_request(self):
-        params, kick, gen = demo_setup()
-        t_end = 5.0 / params.r_a
-        trace = evolve(
-            thermal_distribution(1.7, 60),
-            gen,
-            t_end,
-            sample_times=np.linspace(0, t_end, 6),
-            keep_snapshots=True,
-        )
-        assert len(trace.snapshots) == 6
-        assert trace.snapshots[0].populations.sum() == pytest.approx(1.0)
-
     @pytest.mark.parametrize(
         "fields",
         [
             {"times": [0.0, 1.0], "mean_n": [1.0], "p0": [0.5, 0.5]},
             {"times": [0.0, 1.0], "mean_n": [1.0, 1.0], "p0": [0.5, 0.5, 0.5]},
-            {"times": [0.0, 1.0], "mean_n": [1.0, 1.0], "p0": [0.5, 0.5],
-             "snapshots": [number_state(0, 10)]},
         ],
     )
     def test_trace_rejects_mismatched_lengths(self, fields):
@@ -343,38 +395,28 @@ class TestEvolve:
         assert np.abs(trace.mean_n - ref_mean).max() < 1e-8
         assert np.abs(trace.p0 - ref_p0).max() < 1e-8
 
-    @pytest.mark.parametrize(
-        "n_th, ra_over_kappa, theta",
-        [
-            (1.7, 200.0, 1.0),
-            (10.0, 190.0, 1.0),
-            (10.0, 12.0, 1.0),
-            (30.0, 200.0, 1.0),
-            (5.0, 1000.0, np.pi / 2.0),
-        ],
-        ids=["evolve-60", "evolve-315", "evolve-315-stiff", "evolve-855", "trapping-node"],
-    )
+    @EVOLVE_CELLS
     def test_every_population_matches_expm(self, n_th, ra_over_kappa, theta):
-        # the benchmark's evolve grid, 120 periods in 481 samples, checked at
-        # every 60th sample against exp(G t) p0, computed as one dense
-        # expm(G t_60) applied k times: within 2.5e-13 of expm(G t) itself on
-        # these points, at one expm per case.  Longer windows fail the
-        # reference, not the stepper: at the trapping node and kappa t = 8,
-        # expm(G t) and its stepped form differ by 1.5e-12
-        params = make_params(n_th, ra_over_kappa, theta)
-        n_max = default_n_max(n_th)
-        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
-        gen = build_generator(params, kick, n_max)
-        initial = thermal_distribution(n_th, n_max)
-        t_end = 120.0 / params.r_a
-        times = np.linspace(0.0, t_end, 481)
-        trace = evolve(initial, gen, t_end, sample_times=times, keep_snapshots=True)
+        # every 60th state of the benchmark's evolve grid against exp(G t) p0,
+        # computed as one dense expm(G t_60) applied k times: within 2.5e-13
+        # of expm(G t) itself on these points, at one expm per case.  Longer
+        # windows fail the reference, not the stepper: at the trapping node
+        # and kappa t = 8, expm(G t) and its stepped form differ by 1.5e-12
+        gen, initial, times, states = evolve_cell(n_th, ra_over_kappa, theta)
         step = expm(generator_matrix(gen) * times[60])
         reference = initial.populations
-        for snapshot in trace.snapshots[::60]:
-            assert np.abs(snapshot.populations - reference).max() <= 1e-12
+        for state in itertools.islice(states, 0, None, 60):
+            assert np.abs(state - reference).max() <= 1e-12
             reference = step @ reference
 
+    @EVOLVE_CELLS
+    def test_samples_are_the_stepped_states(self, n_th, ra_over_kappa, theta):
+        # with the test above, this checks every population evolve records
+        gen, initial, times, states = evolve_cell(n_th, ra_over_kappa, theta)
+        trace = evolve(initial, gen, times[-1], sample_times=times)
+        mean_n, p0 = observables(states)
+        assert trace.mean_n.tobytes() == mean_n.tobytes()
+        assert trace.p0.tobytes() == p0.tobytes()
 
     def test_linspace_grid_costs_one_factorisation(self, monkeypatch):
         params, _, gen = demo_setup()
@@ -393,14 +435,51 @@ class TestEvolve:
         times = np.cumsum(np.r_[0.0, gaps])
         initial = thermal_distribution(1.7, 60)
         counts = count_lu(monkeypatch)
-        trace = evolve(initial, gen, times[-1], sample_times=times, keep_snapshots=True)
+        trace = evolve(initial, gen, times[-1], sample_times=times)
         assert counts["factorisations"] == gaps.size
         monkeypatch.undo()
-        state = initial.populations
-        assert trace.snapshots[0].populations.tobytes() == state.tobytes()
-        for gap, snapshot in zip(np.diff(times), trace.snapshots[1:]):
-            state = dynamics._BandStepper(gen.up, gen.down, gap) @ state
-            assert snapshot.populations.tobytes() == state.tobytes()
+        fresh = [dynamics._BandStepper(gen.up, gen.down, gap).__matmul__ for gap in np.diff(times)]
+        mean_n, p0 = observables(stepped_states(initial.populations, fresh))
+        assert trace.mean_n.tobytes() == mean_n.tobytes()
+        assert trace.p0.tobytes() == p0.tobytes()
+
+    @pytest.mark.parametrize("mode", ["evolve", "strobe"])
+    def test_memory_grows_with_levels_plus_rows(self, mode):
+        # 20001 levels and 481 samples (or 401 strobe samples): a block of
+        # every sampled state would hold 77 MB, and evolve peaked at 168 MB
+        # when it kept one.  The stepper holds about 0.7 kB per level, and a
+        # row is a few floats, so the bound stays below 20 MB here
+        params = make_params(100.0, 133.0, np.pi / 8.0)
+        n_max = 20000
+        kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+        initial = thermal_distribution(params.n_th, n_max)
+        gen = build_generator(params, kick, n_max)
+        times = np.linspace(0.0, 5.0 / params.r_a, 481)
+        tracemalloc.start()
+        try:
+            if mode == "evolve":
+                trace = evolve(initial, gen, times[-1], sample_times=times)
+            else:
+                trace = evolve_stroboscopic(initial, params, kick, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 800 * (n_max + 1) + 200 * trace.times.size
+        assert bound < 20e6
+        assert peak < bound
+
+    @pytest.mark.parametrize("mode", ["evolve", "strobe"])
+    def test_tail_warning_points_at_the_caller(self, mode):
+        # the top level of number state 10 holds all the mass at t = 0
+        params = make_params(0.0, 133.0, np.pi / 8.0)
+        kick = build_kick_map(params.g, params.tau, params.p_e, 10)
+        initial = number_state(10, 10)
+        with pytest.warns(TruncationOverflowWarning) as caught:
+            if mode == "evolve":
+                evolve(initial, build_generator(params, kick, 10), 5.0 / params.r_a)
+            else:
+                evolve_stroboscopic(initial, params, kick, 5)
+        assert [warning.filename for warning in caught] == [__file__]
 
 
 class TestIntegratorNoise:
@@ -469,14 +548,14 @@ class TestStroboscopic:
         np.testing.assert_allclose(post, 0.0, atol=1e-12)
 
     def test_snapshots_follow_every_sample(self):
+        # every sample is bitwise the state that period or kick made
         params, kick, _ = demo_setup()
         initial = thermal_distribution(1.7, 60)
-        trace = evolve_stroboscopic(initial, params, kick, 5, keep_snapshots=True)
+        trace = evolve_stroboscopic(initial, params, kick, 5)
         assert trace.times.size == 11
-        assert len(trace.snapshots) == 11
-        n = np.arange(61)
-        means = [n @ snap.populations for snap in trace.snapshots]
-        np.testing.assert_allclose(means, trace.mean_n, rtol=1e-12)
+        mean_n, p0 = observables(stepped_states(initial.populations, strobe_moves(params, kick, 5)))
+        assert trace.mean_n.tobytes() == mean_n.tobytes()
+        assert trace.p0.tobytes() == p0.tobytes()
 
     def test_zero_kicks_returns_initial(self):
         params, kick, _ = demo_setup()
@@ -544,11 +623,11 @@ class TestStroboscopic:
         # more than TAIL_TOL in the early states only
         params = make_params(0.0, 133.0, np.pi / 8.0)
         kick = build_kick_map(params.g, params.tau, params.p_e, 10)
+        initial = number_state(10, 10)
         with pytest.warns(TruncationOverflowWarning, match="during the stroboscopic run"):
-            trace = evolve_stroboscopic(
-                number_state(10, 10), params, kick, 40, keep_snapshots=True
-            )
-        assert trace.snapshots[-1].populations[-1] <= TAIL_TOL
+            evolve_stroboscopic(initial, params, kick, 40)
+        *_, last = stepped_states(initial.populations, strobe_moves(params, kick, 40))
+        assert last[-1] <= TAIL_TOL
 
     def test_damping_propagator_is_stochastic(self):
         params, _, _ = demo_setup()
@@ -800,6 +879,16 @@ class TestSteadyStateLongtime:
         assert counts["factorisations"] == 1
         assert counts["solves"] > 1
 
+    @pytest.mark.filterwarnings("ignore::kickcool.TruncationOverflowWarning")
+    def test_matches_null_space_at_two_levels(self):
+        # n_max 1: the implicit-Euler system has two unknowns
+        params = make_params(0.5, 133.0, np.pi / 8.0, p_e=0.1)
+        kick = build_kick_map(params.g, params.tau, params.p_e, 1)
+        gen = build_generator(params, kick, 1)
+        marched = steady_state_longtime(gen).populations.populations
+        kernel = steady_state_numeric(gen).populations.populations
+        assert np.abs(marched - kernel).max() < 1e-12
+
 
 class TestSolverAgreement:
     @pytest.mark.parametrize("n_th", [0.5, 5.0])
@@ -829,15 +918,13 @@ class TestTrappingNodes:
         assert kick.ce2[3] < 1e-30
         gen = build_generator(params, kick, n_max)
         steady = steady_state_analytic(params, kick, n_max)
-        early = evolve(
-            thermal_distribution(5.0, n_max),
-            gen,
-            150.0 / params.r_a,
-            sample_times=np.array([150.0 / params.r_a]),
-            keep_snapshots=True,
-        )
-        stuck = early.snapshots[0].populations[4]
-        assert stuck > 10.0 * steady.populations.populations[4]
+        initial = thermal_distribution(5.0, n_max)
+        t_early = 150.0 / params.r_a
+        early = evolve(initial, gen, t_early, sample_times=np.array([t_early]))
+        stepper = dynamics._BandStepper(gen.up, gen.down, t_early)
+        _, state = stepped_states(initial.populations, [stepper.__matmul__])
+        assert early.mean_n.tobytes() == observables([state])[0].tobytes()
+        assert state[4] > 10.0 * steady.populations.populations[4]
         late = evolve(
             thermal_distribution(5.0, n_max),
             gen,
