@@ -41,6 +41,7 @@ from .corrections import (
     corrected_steady_state,
     kick_fidelity,
     relaxation_rate,
+    steady_state_sweep,
     thermal_excitation_probability,
 )
 from .device import (
@@ -101,6 +102,7 @@ __all__ = [
     "steady_state_analytic",
     "steady_state_longtime",
     "steady_state_numeric",
+    "steady_state_sweep",
     "thermal_distribution",
     "thermal_excitation_probability",
     "ConvergenceError",

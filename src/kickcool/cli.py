@@ -24,8 +24,8 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR
 # corrected_steady_state stays bound here, where bench/worker.py wraps it;
-# the sweep runs the product formula itself, one block per (n_th, r_a/kappa)
-from .corrections import QubitEnvironment, corrected_steady_state
+# sweeps run corrections.steady_state_sweep
+from .corrections import QubitEnvironment, corrected_steady_state, steady_state_sweep
 from .device import DeviceParams, derive_protocol, duty_cycle_schedule
 from .dynamics import (
     build_generator,
@@ -35,14 +35,7 @@ from .dynamics import (
     steady_state_numeric,
 )
 from .errors import ConvergenceError, DegenerateKernelError
-from .model import (
-    KickMap,
-    ProtocolParams,
-    _check_populations,
-    build_kick_map,
-    default_n_max,
-    thermal_distribution,
-)
+from .model import ProtocolParams, build_kick_map, default_n_max, thermal_distribution
 from . import corrections, dynamics
 
 MODES = ("evolve", "strobe", "steady", "sweep", "device")
@@ -59,11 +52,11 @@ MAX_LEVELS = 10**6
 # MAX_LEVELS; the presets' largest truncation, n_th 1000, peaks at 86 MB
 MAX_STEPPED_LEVELS = 750_000
 # most rows a run may write: evolve samples, strobe's 2 * kicks + 1 samples or
-# sweep grid points.  A run holds its rows until it writes them, about 270 bytes
-# each (peak RSS per row: sweep 272, evolve 214, strobe 207 bytes, nearly all
-# of it the written tuples: evolve and strobe record 24 bytes a row), so a run
-# at the limit holds about 540 MB of rows, beside the 597 MB of a steady run at
-# MAX_LEVELS
+# sweep grid points.  A run holds its columns as arrays until it writes them
+# (peak RSS per row as CSV: sweep 65, evolve 56, strobe 57 bytes); JSON first
+# turns each column into a list of floats (evolve: 145 bytes a row), so a run
+# at the limit holds at most about 290 MB of rows, beside the 597 MB of a
+# steady run at MAX_LEVELS
 MAX_ROWS = 2 * 10**6
 # what a run reports as a numerical failure (exit 3)
 NUMERICAL_ERRORS = (
@@ -363,34 +356,34 @@ def load_config_file(path: str) -> dict:
 # --- output ------------------------------------------------------------------
 
 
-def _write_csv(path: str, columns: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, table: dict) -> None:
     """Header and rows, each row formatted by one template.
 
-    A column is typed by its first row: a number prints with 17 significant
-    digits, which gives an int below 1e17 as str does, and anything else as str.
+    A column is typed by its first entry: a str prints as it is, and a
+    number with 17 significant digits, which gives an int below 1e17 as str
+    does.  Rows are formatted one at a time, straight from the columns.
     """
-    template = ",".join(
-        "%.17g" if isinstance(v, (int, float)) and not isinstance(v, bool) else "%s"
-        for v in (rows[0] if rows else ())
-    ) + "\n"
+    first = next(zip(*table.values()), ())
+    template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(template % row for row in rows)
+        fh.write(",".join(table) + "\n")
+        fh.writelines(template % row for row in zip(*table.values()))
 
 
-def _write_json(path: str, metadata: dict, columns: list[str], rows: list[tuple]) -> None:
-    data = {col: [row[i] for row in rows] for i, col in enumerate(columns)}
+def _write_json(path: str, metadata: dict, table: dict) -> None:
+    data = {name: np.asarray(column).tolist() for name, column in table.items()}
     payload = {"metadata": metadata, "data": data}
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _emit(config: RunConfig, metadata: dict, columns: list[str], rows: list[tuple]) -> None:
+def _emit(config: RunConfig, metadata: dict, table: dict) -> None:
+    """Write a runner's table (column name -> array, or list of str) in the run's format."""
     if config.fmt == "csv":
-        _write_csv(config.output, columns, rows)
+        _write_csv(config.output, table)
     else:
-        _write_json(config.output, metadata, columns, rows)
+        _write_json(config.output, metadata, table)
 
 
 def _params_metadata(params: ProtocolParams, n_max: int) -> dict:
@@ -437,14 +430,13 @@ def _stage(label: str):
 
 def _trace_output(
     params: ProtocolParams, n_max: int, trace: dynamics.EvolutionTrace
-) -> tuple[dict, list[str], list[tuple]]:
-    """Metadata and t_ra, mean_n, p0 rows of an evolve or strobe trace."""
-    t_ra = (trace.times * params.r_a).tolist()
-    rows = list(zip(t_ra, trace.mean_n.tolist(), trace.p0.tolist()))
-    return _params_metadata(params, n_max), ["t_ra", "mean_n", "p0"], rows
+) -> tuple[dict, dict]:
+    """Metadata and the t_ra, mean_n and p0 columns of an evolve or strobe trace."""
+    table = {"t_ra": trace.times * params.r_a, "mean_n": trace.mean_n, "p0": trace.p0}
+    return _params_metadata(params, n_max), table
 
 
-def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def _run_evolve(config: RunConfig) -> tuple[dict, dict]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
@@ -457,19 +449,19 @@ def _run_evolve(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     return _trace_output(params, n_max, trace)
 
 
-def _run_strobe(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def _run_strobe(config: RunConfig) -> tuple[dict, dict]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
     initial = thermal_distribution(params.n_th, n_max)
     with _stage("strobe (damping and kicks)"):
         trace = evolve_stroboscopic(initial, params, kick, config.n_kicks)
-    meta, columns, rows = _trace_output(params, n_max, trace)
+    meta, table = _trace_output(params, n_max, trace)
     meta["n_kicks"] = config.n_kicks
-    return meta, columns, rows
+    return meta, table
 
 
-def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def _run_steady(config: RunConfig) -> tuple[dict, dict]:
     params = config.protocol
     n_max = _n_max(config, params.n_th)
     kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
@@ -477,12 +469,11 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
         analytic = steady_state_analytic(params, kick, n_max)
     with _stage("steady (null-space route)"):
         numeric = steady_state_numeric(build_generator(params, kick, n_max))
-    rows = [
-        (n, float(pa), float(pn))
-        for n, (pa, pn) in enumerate(
-            zip(analytic.populations.populations, numeric.populations.populations)
-        )
-    ]
+    table = {
+        "n": np.arange(n_max + 1),
+        "p_analytic": analytic.populations.populations,
+        "p_numeric": numeric.populations.populations,
+    }
     meta = _params_metadata(params, n_max)
     meta.update(
         {
@@ -492,69 +483,35 @@ def _run_steady(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
             "p0_s": analytic.p0_s,
         }
     )
-    return meta, ["n", "p_analytic", "p_numeric"], rows
+    return meta, table
 
 
-def _run_sweep(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
-    """Every grid point by the product formula, from one kick tabulation.
-
-    All points share the pulse area, and each tabulated weight depends on
-    its own level only, so the tables built at the largest n_max the grid
-    needs (ce2, cg2, 1 - ce2 and the levels 0..n_max), sliced to a point's
-    n_max, equal that point's own tabulation bitwise; so does the decayed
-    coupling of fidelity runs.  One product pass per (n_th, r_a/kappa)
-    yields a block with a row for every p.  The block goes through the
-    PhononDistribution checks once, and each row through the summary that
-    steady_state_analytic or corrected_steady_state gives a point, so every
-    row is bitwise that point's library result.
-    """
+def _run_sweep(config: RunConfig) -> tuple[dict, dict]:
+    """The grid through corrections.steady_state_sweep, rows sorted by (n_th, r_a/kappa, p)."""
     params, spec = config.protocol, config.sweep
     # hottest first: a bath too hot to size is reported before a cooler
     # point whose truncation is merely over the limit
-    n_maxes = {n_th: _n_max(config, n_th) for n_th in sorted(spec.n_th_grid, reverse=True)}
-    top = max(n_maxes.values())
-    table = build_kick_map(params.g, params.tau, 0.0, top)
-    survival = 1.0 - table.ce2
-    levels = np.arange(top + 1, dtype=float)
-    coupling = table.ce2
-    if spec.with_fidelity:
-        gamma0 = corrections.relaxation_rate(config.env, config.env.omega0)
-        coupling = corrections._decayed_coupling(params, gamma0, table)
-    # a protocol's validity warnings depend on r_a and tau only
-    ratios = [(ra, replace(params, r_a=ra * params.kappa).ra_over_kappa)
-              for ra in spec.ra_over_kappa]
-    p_col = np.array(spec.p_values)[:, None]
-    rows = []
-    for n_th in spec.n_th_grid:
-        n_max = n_maxes[n_th]
-        kicks = [KickMap(table.ce2[: n_max + 1], table.cg2[: n_max + 1], p_e, table.theta)
-                 for p_e in spec.p_values]
-        for ra, ratio in ratios:
-            with _stage(f"sweep point n_th={n_th}, r_a/kappa={ra}"):
-                # the bound does not depend on r_a: a failure names the first
-                for p_e in spec.p_values:
-                    dynamics._check_excitation_bound(n_th, p_e)
-                block = dynamics._product_populations(n_th, ratio, coupling[:n_max], p_col)
-                _check_populations(block)
-                for kick, pops in zip(kicks, block):
-                    mean_n_s, delta_n = dynamics._row_summary(
-                        pops, kick, levels[: n_max + 1], survival[: n_max + 1]
-                    )
-                    rows.append((n_th, ra, kick.p_e, mean_n_s, delta_n, float(pops[0])))
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    for n_th in sorted(spec.n_th_grid, reverse=True):
+        _n_max(config, n_th)
+    env = config.env if spec.with_fidelity else None
+    table = steady_state_sweep(
+        params, spec.n_th_grid, spec.ra_over_kappa, spec.p_values, config.n_max, env
+    )
+    order = np.lexsort((table["p"], table["ra_over_kappa"], table["n_th"]))  # stable
+    for name, column in table.items():  # one column copy at a time
+        table[name] = column[order]
     meta = {
         "g_rad_per_s": params.g,
         "tau_s": params.tau,
         "kappa_per_s": params.kappa,
         "pulse_area_rad": params.theta,
         "with_fidelity": spec.with_fidelity,
-        "n_points": len(rows),
+        "n_points": order.size,
     }
-    columns = ["n_th", "ra_over_kappa", "p", "mean_n_s", "delta_n", "p0_s"]
-    return meta, columns, rows
+    return meta, table
 
 
-def _run_device(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
+def _run_device(config: RunConfig) -> tuple[dict, dict]:
     params, env, dev = config.protocol, config.env, config.device
     gamma_ej = corrections.relaxation_rate(env, env.e_j / HBAR)
     gamma0 = corrections.relaxation_rate(env, env.omega0)
@@ -568,28 +525,28 @@ def _run_device(config: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     )
     fidelity_0 = corrections.kick_fidelity(gamma0, params.g, params.tau, level=1)
     floor = corrections.cooling_floor(params, env)
-    rows: list[tuple] = [
-        ("g_rad_per_s", params.g),
-        ("tau_s", params.tau),
-        ("ra_per_s", params.r_a),
-        ("kappa_per_s", params.kappa),
-        ("n_th", params.n_th),
-        ("n_x", dev.n_x),
-        ("e_c_j", dev.charging_energy),
-        ("alpha_g", env.alpha_g),
-        ("p_thermal_excitation", params.p_e),
-        ("gamma_ej_per_s", gamma_ej),
-        ("gamma_omega0_per_s", gamma0),
-        ("kick_fidelity_level1", fidelity_0),
-        ("heating_scale_per_nth", gamma0 * params.tau / 2.0),
-        ("cooling_floor", floor),
-        ("cycle_budget_s", schedule.cycle_budget),
-        ("kick_period_s", schedule.period),
-        ("budget_closes", float(schedule.closes)),
-        ("max_kick_rate_per_s", schedule.max_kick_rate),
-    ]
+    report = {
+        "g_rad_per_s": params.g,
+        "tau_s": params.tau,
+        "ra_per_s": params.r_a,
+        "kappa_per_s": params.kappa,
+        "n_th": params.n_th,
+        "n_x": dev.n_x,
+        "e_c_j": dev.charging_energy,
+        "alpha_g": env.alpha_g,
+        "p_thermal_excitation": params.p_e,
+        "gamma_ej_per_s": gamma_ej,
+        "gamma_omega0_per_s": gamma0,
+        "kick_fidelity_level1": fidelity_0,
+        "heating_scale_per_nth": gamma0 * params.tau / 2.0,
+        "cooling_floor": floor,
+        "cycle_budget_s": schedule.cycle_budget,
+        "kick_period_s": schedule.period,
+        "budget_closes": float(schedule.closes),
+        "max_kick_rate_per_s": schedule.max_kick_rate,
+    }
     meta = {"flags": list(schedule.flags)}
-    return meta, ["quantity", "value"], rows
+    return meta, {"quantity": list(report), "value": np.array(list(report.values()))}
 
 
 _RUNNERS = {
@@ -604,8 +561,8 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit code."""
     try:
-        metadata, columns, rows = _RUNNERS[config.mode](config)
-        _emit(config, metadata, columns, rows)
+        metadata, table = _RUNNERS[config.mode](config)
+        _emit(config, metadata, table)
     except ConfigError as exc:
         print(f"kickcool: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -615,7 +572,8 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"kickcool: cannot write output: {exc}", file=sys.stderr)
         return 2
-    print(f"kickcool {config.mode}: wrote {len(rows)} rows to {config.output}")
+    rows = len(next(iter(table.values())))
+    print(f"kickcool {config.mode}: wrote {rows} rows to {config.output}")
     return 0
 
 

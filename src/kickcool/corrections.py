@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ValidityWarning
-from .model import KickMap, ProtocolParams, build_kick_map
+from .model import KickMap, ProtocolParams, _check_populations, build_kick_map, default_n_max
 from .dynamics import (
     ANALYTIC_PRODUCT,
     SteadyStateResult,
     _check_excitation_bound,
     _product_populations,
     _result_from_populations,
+    _row_summary,
 )
 
 
@@ -149,8 +151,8 @@ def _decayed_coupling(
 ) -> np.ndarray:
     """ce2[l-1]*F_{l-1} for l = 1..kick.n_max: the swap weights after kick decay.
 
-    Warns when Gamma(omega0)*tau is outside the first-order range; the sweep
-    calls this once per run on its kick table, so the warning fires once.
+    Warns when Gamma(omega0)*tau is outside the first-order range; a sweep
+    calls this once on its kick table, so the warning fires once per sweep.
     """
     if gamma0 * params.tau > 0.1:
         warnings.warn(
@@ -161,6 +163,56 @@ def _decayed_coupling(
         )
     levels = np.arange(1, kick.n_max + 1, dtype=float)
     return kick.ce2[:-1] * _fidelity_profile(gamma0, params.g, params.tau, levels)
+
+
+def steady_state_sweep(
+    params: ProtocolParams, n_th_grid: Sequence[float], ra_over_kappa: Sequence[float],
+    p_values: Sequence[float], n_max: int | None = None, env: QubitEnvironment | None = None
+) -> dict[str, np.ndarray]:
+    """Product-formula steady states of params at every (n_th, r_a/kappa, p) point.
+
+    A point truncates at n_max, or at default_n_max(n_th) for None; env
+    applies the kick-decay fidelity of corrected_steady_state.  Returns the
+    columns n_th, ra_over_kappa, p, mean_n_s, delta_n and p0_s, p fastest.
+    The kick tables are built once at the largest n_max: each entry depends
+    on its own level only, so a slice equals a point's own table bitwise.
+    One product block per (n_th, r_a/kappa) holds a row per p; it is checked
+    once, and each row summarised as steady_state_analytic does, so every
+    entry is bitwise that point's library result.  A failure keeps its type
+    and names the point: "sweep point n_th=..., r_a/kappa=...: ...".
+    """
+    if params.kappa <= 0:
+        raise ValueError("the product formula needs kappa > 0")
+    grid = [np.asarray(axis, dtype=float) for axis in (n_th_grid, ra_over_kappa, p_values)]
+    n_maxes = [default_n_max(n_th) if n_max is None else n_max for n_th in grid[0]]
+    table = build_kick_map(params.g, params.tau, 0.0, max(n_maxes, default=1))
+    survival = 1.0 - table.ce2
+    levels = np.arange(table.ce2.size, dtype=float)
+    coupling = table.ce2 if env is None else _decayed_coupling(
+        params, relaxation_rate(env, env.omega0), table
+    )
+    # a protocol's validity warnings depend on r_a and tau only
+    ratios = [replace(params, r_a=ra * params.kappa).ra_over_kappa for ra in grid[1]]
+    mean_n_s, delta_n, p0_s = (np.empty([axis.size for axis in grid]) for _ in range(3))
+    for i, (n_th, size) in enumerate(zip(grid[0], n_maxes)):
+        kicks = [KickMap(table.ce2[: size + 1], table.cg2[: size + 1], p_e, table.theta)
+                 for p_e in grid[2]]
+        for j, ratio in enumerate(ratios):
+            try:
+                # the bound does not depend on r_a: a failure names the first
+                for p_e in grid[2]:
+                    _check_excitation_bound(n_th, p_e)
+                block = _product_populations(n_th, ratio, coupling[:size], grid[2][:, None])
+                p0_s[i, j] = _check_populations(block)[:, 0]
+            except ValueError as exc:
+                raise type(exc)(f"sweep point n_th={n_th}, r_a/kappa={grid[1][j]}: {exc}") from exc
+            for k, (kick, pops) in enumerate(zip(kicks, block)):
+                mean_n_s[i, j, k], delta_n[i, j, k] = _row_summary(
+                    pops, kick, levels[: size + 1], survival[: size + 1]
+                )
+    columns = (*np.meshgrid(*grid, indexing="ij"), mean_n_s, delta_n, p0_s)
+    names = ("n_th", "ra_over_kappa", "p", "mean_n_s", "delta_n", "p0_s")
+    return {name: column.ravel() for name, column in zip(names, columns)}
 
 
 def cooling_floor(params: ProtocolParams, env: QubitEnvironment) -> float:

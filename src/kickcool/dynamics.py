@@ -628,6 +628,31 @@ def _connected_blocks(up: np.ndarray, down: np.ndarray, scale: float) -> np.ndar
     return np.flatnonzero((up <= tol) & (down <= tol))
 
 
+def _ground_component(gen: GeneratorMatrix) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """The rate scale, the top level and the up and down bands of gen's ground component.
+
+    The component ends below the first cut (both rates across it vanish), a
+    cut that a UserWarning reports to the route's caller; the chain's
+    largest diagonal magnitude is the rate scale, and a zero scale raises
+    DegenerateKernelError.
+    """
+    # every off-diagonal rate is a summand of its column's diagonal, so the
+    # largest diagonal magnitude is the largest entry of the generator
+    scale = np.abs(gen.diag).max()
+    if scale == 0.0:
+        raise DegenerateKernelError("generator is identically zero")
+    cuts = _connected_blocks(gen.up, gen.down, scale)
+    top = int(cuts[0]) if cuts.size else gen.n_max
+    if cuts.size:
+        warnings.warn(
+            f"chain disconnects above level {top}; solving on the "
+            "ground-state component and zeroing the rest",
+            UserWarning,
+            stacklevel=3,
+        )
+    return scale, top, gen.up[:top], gen.down[:top]
+
+
 def _pinned_kernel(
     up: np.ndarray, down: np.ndarray, diag: np.ndarray, pin: int
 ) -> np.ndarray:
@@ -663,22 +688,7 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
     solution's most populated level if that is another one; the residual
     ||G p||_inf is verified against 1e-9 of the rate scale.
     """
-    # every off-diagonal rate is a summand of its column's diagonal, so the
-    # largest diagonal magnitude is the largest entry of the generator
-    scale = np.abs(gen.diag).max()
-    if scale == 0.0:
-        raise DegenerateKernelError("generator is identically zero")
-    cuts = _connected_blocks(gen.up, gen.down, scale)
-    top = int(cuts[0]) if cuts.size else gen.n_max
-    if cuts.size:
-        warnings.warn(
-            f"chain disconnects above level {top}; solving on the "
-            "ground-state component and zeroing the rest",
-            UserWarning,
-            stacklevel=2,
-        )
-    up, down = gen.up[:top], gen.down[:top]
-
+    scale, top, up, down = _ground_component(gen)
     if top < 600:
         _, s, vt = svd(_dense(up, down))
         kernel_dim = int(np.sum(s <= 1e-8 * s[0])) if s[0] > 0 else top + 1
@@ -724,33 +734,40 @@ def steady_state_numeric(gen: GeneratorMatrix) -> SteadyStateResult:
 def steady_state_longtime(gen: GeneratorMatrix) -> SteadyStateResult:
     """Steady state by marching the dynamics until dP/dt vanishes.
 
-    Starts from the bath's thermal distribution and takes up to 400
-    unconditionally stable implicit-Euler macro-steps (I - dt*G) P' = P,
-    each one solve on a single ``_tridiagonal_lu`` of I - dt*G; their fixed
-    point satisfies G P = 0 exactly.  Iteration stops once the
-    gap-normalized residual ||G P||_inf / gap_rate is at 1e-12 or has
-    stopped improving at the floating-point floor.
+    Solves on the ground-state component, as ``steady_state_numeric`` does,
+    with the same warning for a cut and zeros above it; a cut at level 0
+    gives the vacuum.  Starts from the bath's thermal distribution, cut to
+    the component and renormalised, and takes up to 400 unconditionally
+    stable implicit-Euler macro-steps (I - dt*G) P' = P, each one solve on a
+    single ``_tridiagonal_lu`` of I - dt*G; their fixed point satisfies
+    G P = 0 exactly.  Iteration stops once the gap-normalized residual
+    ||G P||_inf / gap_rate is at 1e-12 or has stopped improving at the
+    floating-point floor.
     """
-    scale = np.abs(gen.diag).max()
-    if scale == 0.0:
-        raise DegenerateKernelError("generator is identically zero")
+    scale, top, up, down = _ground_component(gen)
+    full = np.zeros(gen.n_max + 1)
+    if top == 0:
+        full[0] = 1.0
+        return _result_from_populations(full, gen.kick, LONG_TIME)
     if gen.params.kappa > 0:
         gap = gen.params.kappa
     else:
-        positive = gen.down[gen.down > 1e-15 * scale]
+        positive = down[down > 1e-15 * scale]
         if positive.size == 0:
             raise DegenerateKernelError("no relaxation channel: gap estimate is zero")
         gap = positive.min()
     dt = 20.0 / gap
-    solve = _tridiagonal_lu(-dt * gen.up, 1.0 - dt * gen.diag, -dt * gen.down)
+    diag = _diagonal(up, down)
+    solve = _tridiagonal_lu(-dt * up, 1.0 - dt * diag, -dt * down)
 
-    state = thermal_distribution(gen.params.n_th, gen.n_max).populations.copy()
+    state = thermal_distribution(gen.params.n_th, gen.n_max).populations[: top + 1]
+    state = state / state.sum()
     best_res, stall = np.inf, 0
     for _ in range(400):
         state = solve(state)  # in place: best keeps its own copy
         np.maximum(state, 0.0, out=state)
         state /= state.sum()
-        res = np.abs(gen.apply(state)).max() / gap
+        res = np.abs(_apply(up, diag, down, state)).max() / gap
         if res < best_res:
             best, best_res, stall = state.copy(), res, 0
         else:
@@ -761,4 +778,5 @@ def steady_state_longtime(gen: GeneratorMatrix) -> SteadyStateResult:
         raise ConvergenceError(
             f"stationarity residual stalled at {best_res:.3e} (target 1e-12)"
         )
-    return _result_from_populations(best, gen.kick, LONG_TIME)
+    full[: top + 1] = best
+    return _result_from_populations(full, gen.kick, LONG_TIME)

@@ -127,6 +127,23 @@ class TestEvolveMode:
         assert payload["metadata"]["n_th"] == 1.7
         assert len(payload["data"]["mean_n"]) == 11
 
+    @pytest.mark.filterwarnings("ignore::kickcool.TruncationOverflowWarning")
+    @pytest.mark.parametrize("fmt, bound", [("csv", 8e6), ("json", 14e6)])
+    def test_peak_memory_per_row(self, tmp_path, fmt, bound):
+        # 1e5 rows written straight from the trace's columns read 5.7 / 12.0 MB
+        # here (JSON's lists hold a float object per entry); a list of row
+        # tuples held about 200 bytes a row and read 19.9 MB in both formats
+        argv = ["evolve", "--preset", "fig2", "--n-max", "1", "--t-end-ra", "1",
+                "--format", fmt, "--output", str(tmp_path / f"e.{fmt}")]
+        assert main(argv + ["--samples", "2"]) == 0  # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--samples", "100000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 class TestSteadyMode:
     def test_two_solvers_in_columns(self, tmp_path):

@@ -10,10 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kickcool import (
+    ConvergenceError,
+    DegenerateKernelError,
     NonNormalizableError,
     PhononDistribution,
     ProtocolParams,
     QubitEnvironment,
+    SteadyStateResult,
     TruncationOverflowWarning,
     apply_kick,
     build_generator,
@@ -27,6 +30,7 @@ from kickcool import (
     steady_state_analytic,
     steady_state_longtime,
     steady_state_numeric,
+    steady_state_sweep,
 )
 from kickcool.cli import RunConfig, SweepSpec, _run_sweep
 from kickcool.corrections import _decayed_coupling, _fidelity_profile
@@ -117,6 +121,68 @@ def test_cut_chain_is_solved_on_its_ground_component(sizes):
         finally:
             tracemalloc.stop()
     assert peak < 80 * closing**2 + 64 * (n_max + 1) + 2**16
+
+
+@st.composite
+def small_chains(draw):
+    """Kick-plus-damping chains of 1 to 8 levels above the ground state, with
+    or without damping: n_th 0..5, r_a/kappa 0..100, p_e 0..0.2."""
+    params = ProtocolParams(
+        g=G,
+        tau=draw(st.one_of(thetas, st.just(math.pi / 2))) / G,
+        r_a=draw(st.floats(0.0, 100.0)) * KAPPA,
+        kappa=draw(st.sampled_from([0.0, KAPPA])),
+        n_th=draw(st.floats(0.0, 5.0)),
+        p_e=draw(st.floats(0.0, 0.2)),
+    )
+    return params, draw(st.integers(1, 8))
+
+
+def cut_chain(cut, n_max):
+    """Cooling kicks alone, with the swap across (cut, cut + 1) closed."""
+    theta = math.pi / math.sqrt(cut + 1)
+    return ProtocolParams(g=G, tau=theta / G, r_a=1e6, kappa=0.0, n_th=0.0), n_max
+
+
+# kappa = 0 and theta = pi/2 close the (3, 4) swap: the long-time route used
+# to keep the thermal mass above it, 0.36 away from the null space
+@example((ProtocolParams(g=G, tau=math.pi / 2 / G, r_a=KAPPA, kappa=0.0, n_th=5.0), 8))
+@example(cut_chain(0, 1))
+@example(cut_chain(0, 8))
+@example(cut_chain(1, 2))
+@example(cut_chain(1, 8))
+@settings(derandomize=True, max_examples=200)
+@given(small_chains())
+def test_every_route_returns_a_checked_result_or_a_documented_error(chain):
+    params, n_max = chain
+    kick = build_kick_map(params.g, params.tau, params.p_e, n_max)
+    gen = build_generator(params, kick, n_max)
+    routes = {
+        # the product formula needs kappa > 0 and a normalizable chain
+        "analytic": (lambda: steady_state_analytic(params, kick, n_max), ValueError),
+        "null space": (lambda: steady_state_numeric(gen), (DegenerateKernelError, ConvergenceError)),
+        "long time": (lambda: steady_state_longtime(gen), (DegenerateKernelError, ConvergenceError)),
+    }
+    returned = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cuts, validity and truncation warn
+        for name, (route, documented) in routes.items():
+            try:
+                result = route()
+            except documented:
+                continue
+            assert isinstance(result, SteadyStateResult)
+            assert isinstance(result.populations, PhononDistribution)
+            returned[name] = result.populations.populations
+    # both kernel routes see the same ground component
+    assert ("null space" in returned) == ("long time" in returned)
+    found = list(returned.values())
+    for i, a in enumerate(found):
+        for b in found[i + 1:]:
+            assert np.abs(a - b).max() <= 1e-8
+    if params.n_th == 0.0 and params.kappa == 0.0 and params.p_e == 0.0 and returned:
+        # every kick below a cut cools, so a cut chain rests in the vacuum
+        assert returned["long time"][0] == pytest.approx(1.0, abs=1e-11)
 
 
 @given(
@@ -228,6 +294,8 @@ def test_sweep_rows_equal_per_point_library_calls_bitwise(theta, spec, alpha_g):
     params = ProtocolParams(g=G, tau=theta / G, r_a=KAPPA, kappa=KAPPA, n_th=1.0)
     env = QubitEnvironment(alpha_g=alpha_g, temperature=0.01, e_j=1e-23, omega0=2e8 * math.pi)
     config = RunConfig(mode="sweep", output="", protocol=params, env=env, sweep=spec)
+    grid = (spec.n_th_grid, spec.ra_over_kappa, spec.p_values)
+    point_env = env if spec.with_fidelity else None
     expected = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -246,13 +314,17 @@ def test_sweep_rows_equal_per_point_library_calls_bitwise(theta, spec, alpha_g):
                         # some point has no steady state: the sweep must fail too
                         with pytest.raises(NonNormalizableError):
                             _run_sweep(config)
+                        with pytest.raises(NonNormalizableError):
+                            steady_state_sweep(params, *grid, env=point_env)
                         return
                     expected.append(
                         (n_th, ra_over_kappa, p_e, result.mean_n_s, result.delta_n, result.p0_s)
                     )
-        rows = _run_sweep(config)[2]
+        rows = list(zip(*_run_sweep(config)[1].values()))
+        columns = steady_state_sweep(params, *grid, env=point_env)
     expected.sort(key=lambda row: row[:3])  # stable, as the sweep sorts its rows
     assert rows == expected
+    assert sorted(zip(*columns.values()), key=lambda row: row[:3]) == expected
 
 
 @given(
